@@ -3,8 +3,9 @@
 Inputs are graph6 (default, one graph per line, so corpora can be piped
 through) or a single edge-list file.  Results go to stdout as one JSON
 object per input graph; diagnostics go to stderr.  Exit codes are uniform:
-0 = yes, 1 = certified no, 2 = error.  Batch lines are processed in
-parallel (order preserved); SPARSITY_FORGE_THREADS caps the worker count.
+0 = yes, 1 = certified no, 2 = error.  A batch is answered in input order
+and printed only once every graph in it is answered, so an error anywhere
+in the batch prints no results.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .decompose import decompose_ksw, verify_decomposition
 from .errors import NotSparseError, SparsityForgeError
@@ -39,13 +38,6 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 
 
-def _worker_count() -> int:
-    env = os.environ.get("SPARSITY_FORGE_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def _read_graphs(args) -> list[Graph]:
     if args.input and args.input != "-":
         with open(args.input, "r", encoding="ascii") as fh:
@@ -56,13 +48,6 @@ def _read_graphs(args) -> list[Graph]:
         return [parse_edgelist(text)]
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     return [parse_graph6(ln) for ln in lines]
-
-
-def _map_ordered(fn, items):
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        return list(pool.map(fn, items))
 
 
 def _add_io_args(p: argparse.ArgumentParser) -> None:
@@ -78,7 +63,7 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
 def cmd_check(args) -> int:
     params = SparsityParams(parse_rational(args.a), parse_rational(args.b))
     graphs = _read_graphs(args)
-    certs = _map_ordered(lambda g: is_sparse(g, params), graphs)
+    certs = [is_sparse(g, params) for g in graphs]
     status = EXIT_YES
     for cert in certs:
         print(json.dumps(cert.to_json_dict()))
@@ -105,8 +90,9 @@ def cmd_decompose(args) -> int:
         timing = {"decompose": (t1 - t0) * 1e3, "verify": (t2 - t1) * 1e3}
         return ("ok", d, (verified, timing))
 
+    results = [run(g) for g in graphs]
     status = EXIT_YES
-    for kind, payload, extra in _map_ordered(run, graphs):
+    for kind, payload, extra in results:
         if kind == "not_sparse":
             print(json.dumps(payload.to_json_dict()))
             status = max(status, EXIT_NO)
@@ -133,8 +119,9 @@ def cmd_partition(args) -> int:
         except NotSparseError as exc:
             return ("not_sparse", exc.certificate)
 
+    results = [run(g) for g in graphs]
     status = EXIT_YES
-    for kind, payload in _map_ordered(run, graphs):
+    for kind, payload in results:
         if kind == "not_sparse":
             print(json.dumps(payload.to_json_dict()))
             status = max(status, EXIT_NO)

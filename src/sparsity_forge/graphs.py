@@ -180,6 +180,28 @@ def full_edge_set(g: Graph) -> EdgeSet:
     return EdgeSet(g, range(g.e))
 
 
+class UnionFind:
+    """Disjoint sets over 0..n-1 with path halving."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> bool:
+        """Merge the sets of x and y under y's root; False if already merged."""
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[rx] = ry
+        return True
+
+
 # ---------------------------------------------------------------------------
 # graph6 (standard ASCII encoding; short and long vertex-count headers)
 # ---------------------------------------------------------------------------
@@ -224,7 +246,16 @@ def parse_graph6(text: str | bytes) -> Graph:
     (0,3), ...; each byte carries six bits, most significant first, offset
     by 63.  Errors name the offending byte offset.
     """
-    data = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    if isinstance(text, str):
+        try:
+            data = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            # every character before the first non-ASCII one is a single byte
+            raise GraphFormatError(
+                f"non-ASCII character {text[exc.start]!r}", exc.start
+            ) from None
+    else:
+        data = bytes(text)
     data = data.rstrip(b"\r\n")
     if data.startswith(b">>graph6<<"):
         data = data[10:]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
 
 from .graphs import Graph
 from .pebble import PebbleGame
@@ -37,22 +36,11 @@ def random_sparse_graph(
             pairs.add((u, v) if u < v else (v, u))
     order = sorted(pairs)
     rng.shuffle(order)
-    scale = lcm(a.denominator, b.denominator)
-    k = a.numerator * (scale // a.denominator)
-    l = int(-b * scale)
-    game = PebbleGame(n, k, l)
+    game = PebbleGame.scaled(n, a, b)
     kept: list[tuple[int, int]] = []
     for u, v in order:
-        placed = 0
-        for c in range(scale):
-            if not game.insert(u, v, key=len(kept) * scale + c):
+        if game.insert(u, v):
+            kept.append((u, v))
+            if len(kept) >= target:
                 break
-            placed += 1
-        if placed < scale:
-            for c in range(placed):
-                game.delete(len(kept) * scale + c)
-            continue
-        kept.append((u, v))
-        if len(kept) >= target:
-            break
     return Graph(n, kept)

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import MatroidRegimeError
-from .graphs import EdgeSet, Graph, VertexSet
+from .graphs import EdgeSet, Graph, UnionFind, VertexSet
 from .mincut import selection_max
 from .pebble import PebbleGame
 from .sparsity import SparsityParams, is_sparse
@@ -110,26 +110,14 @@ def find_tight_components(o: CountMatroidOracle, s: EdgeSet) -> list[VertexSet]:
         if value - 2 * o.a == o.b:
             tight_sets.append(umin)
     # merge overlapping minimal tight sets (union of intersecting tight sets is tight)
-    parent = list(range(len(tight_sets)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    uf = UnionFind(len(tight_sets))
     owner: dict[int, int] = {}
     for i, verts in enumerate(tight_sets):
         for v in verts:
-            if v in owner:
-                ri, rj = find(i), find(owner[v])
-                if ri != rj:
-                    parent[rj] = ri
-            else:
-                owner[v] = i
+            uf.union(owner.setdefault(v, i), i)
     clusters: dict[int, set[int]] = {}
     for i, verts in enumerate(tight_sets):
-        clusters.setdefault(find(i), set()).update(verts)
+        clusters.setdefault(uf.find(i), set()).update(verts)
     result = [VertexSet(g, verts) for verts in clusters.values()]
     result.sort(key=lambda vs: vs.sorted())
     return result
@@ -143,19 +131,26 @@ def find_tight_components(o: CountMatroidOracle, s: EdgeSet) -> list[VertexSet]:
 class ForestEngine:
     """(1, -1) incremental oracle: adjacency forest with path queries."""
 
-    def __init__(self, host: Graph):
+    def __init__(self, host: Graph, ids=()):
         self.host = host
         self.adj: list[dict[int, int]] = [dict() for _ in range(host.n)]  # nbr -> eid
+        for eid in ids:
+            self.add(eid)
 
     def insertable(self, u: int, v: int) -> bool:
-        return self._path(u, v) is None
+        return self.path(u, v) is None
 
     def insert(self, eid: int, u: int, v: int) -> bool:
         if not self.insertable(u, v):
             return False
+        self.add(eid)
+        return True
+
+    def add(self, eid: int) -> None:
+        """Add a host edge without the cycle check; the caller vouches for it."""
+        u, v = self.host.edges[eid]
         self.adj[u][v] = eid
         self.adj[v][u] = eid
-        return True
 
     def delete(self, eid: int) -> None:
         u, v = self.host.edges[eid]
@@ -163,12 +158,16 @@ class ForestEngine:
         del self.adj[v][u]
 
     def circuit(self, u: int, v: int) -> list[int]:
-        path = self._path(u, v)
+        path = self.path(u, v)
         if path is None:
             raise ValueError("edge is independent; no circuit")
         return path
 
-    def _path(self, u: int, v: int) -> list[int] | None:
+    def ids(self) -> set[int]:
+        return {eid for nbrs in self.adj for eid in nbrs.values()}
+
+    def path(self, u: int, v: int) -> list[int] | None:
+        """Edge ids along the forest path u..v from the u end; None if disconnected."""
         if u == v:
             return []
         prev: dict[int, tuple[int, int]] = {u: (-1, -1)}
@@ -204,13 +203,13 @@ class PebbleCountEngine:
         return self.game.insertable(u, v)
 
     def insert(self, eid: int, u: int, v: int) -> bool:
-        if not self.game.insert(u, v, key=eid):
+        if not self.game.insert(u, v):
             return False
         self.members.add(eid)
         return True
 
     def delete(self, eid: int) -> None:
-        self.game.delete(eid)
+        self.game.delete(*self.host.edges[eid])
         self.members.remove(eid)
 
     def circuit(self, u: int, v: int) -> list[int]:

@@ -10,9 +10,6 @@ with O(1) edge-count updates, which keeps graphs up to 22 vertices and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-
-import numpy as np
 
 from .errors import PathologicalParametersError
 from .graphs import EdgeSet, Graph, VertexSet
@@ -100,15 +97,8 @@ class _SideChecker:
         self.a, self.b = a, b
         self.pathological = 2 * a + b < 1
         self.members: list[int] = []
-        self._game: PebbleGame | None = None
-        self._copies = 1
-        if not self.pathological and b <= 0:
-            scale = lcm(a.denominator, b.denominator)
-            k = a.numerator * (scale // a.denominator)
-            l = int(-b * scale)
-            # nonpathological means 2a + b >= 1, hence l < 2k always
-            self._game = PebbleGame(g.n, k, l)
-            self._copies = scale
+        # nonpathological means 2a + b >= 1, hence l < 2k in the scaled game
+        self._game = PebbleGame.scaled(g.n, a, b) if not self.pathological and b <= 0 else None
 
     def try_add(self, eid: int) -> bool:
         """Add edge eid to the side if the side stays sparse; report success."""
@@ -116,13 +106,8 @@ class _SideChecker:
             return False
         u, v = self.g.edges[eid]
         if self._game is not None:
-            done = 0
-            for c in range(self._copies):
-                if not self._game.insert(u, v, key=eid * self._copies + c):
-                    for cc in range(done):
-                        self._game.delete(eid * self._copies + cc)
-                    return False
-                done += 1
+            if not self._game.insert(u, v):
+                return False
             self.members.append(eid)
             return True
         # b > 0: a new violation would be a set U containing u and v with
@@ -139,8 +124,7 @@ class _SideChecker:
         assert self.members and self.members[-1] == eid
         self.members.pop()
         if self._game is not None:
-            for c in range(self._copies):
-                self._game.delete(eid * self._copies + c)
+            self._game.delete(*self.g.edges[eid])
 
 
 def _capacity(g: Graph, a: Fraction, b: Fraction) -> int:
@@ -214,16 +198,16 @@ def check_matroid_axioms(oracle) -> bool:
     if g.e > 12:
         raise ValueError("axiom check enumerates the power set; limit is e <= 12")
     e = g.e
-    indep = np.zeros(1 << e, dtype=bool)
-    for mask in range(1 << e):
-        ids = [i for i in range(e) if mask >> i & 1]
-        indep[mask] = oracle.is_independent(EdgeSet(g, ids))
+    indep = [
+        oracle.is_independent(EdgeSet(g, [i for i in range(e) if mask >> i & 1]))
+        for mask in range(1 << e)
+    ]
     if not indep[0]:
         return False
     by_size: dict[int, list[int]] = {}
     for mask in range(1 << e):
         if indep[mask]:
-            by_size.setdefault(int(mask).bit_count(), []).append(mask)
+            by_size.setdefault(mask.bit_count(), []).append(mask)
     # hereditary
     for masks in by_size.values():
         for mask in masks:
@@ -233,19 +217,19 @@ def check_matroid_axioms(oracle) -> bool:
                 if not indep[mask ^ low]:
                     return False
                 rest ^= low
-    # exchange, vectorized over the larger side
+    # exchange: T violates it against S exactly when T misses every x that
+    # extends S, so no T of the next size may sit inside the complement
     for size, smaller in sorted(by_size.items()):
         larger = by_size.get(size + 1)
         if not larger:
             continue
-        arr = np.array(larger, dtype=np.int64)
         for smask in smaller:
             grow = 0
             for x in range(e):
                 bit = 1 << x
                 if not smask & bit and indep[smask | bit]:
                     grow |= bit
-            # a violating T offers no usable element: T & grow & ~S == 0
-            if bool(np.any((arr & (grow & ~smask)) == 0)):
-                return False
+            for tmask in larger:
+                if not tmask & grow:
+                    return False
     return True

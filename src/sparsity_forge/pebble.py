@@ -9,31 +9,46 @@ the set of vertices reachable from {u, v} spans a subgraph that would be
 pushed past the bound; that region is the refutation callers consume.
 
 Valid for 0 <= l < 2k; parallel edges are fine as long as 2 <= 2k - l,
-loops never are.  Deletion is trivial: drop the arc and refund the pebble.
+loops never are.  Rational bounds scale to integers: a simple graph is
+(p/q, b)-sparse with b <= 0 iff its q-fold blow-up is (p, -bq)-sparse, so a
+game built by ``scaled`` stands for every edge with ``copies`` parallel
+arcs, placed all or none.  Parallel copies are interchangeable, so deleting
+{u, v} drops any u-v arcs and refunds their tails' pebbles.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from fractions import Fraction
+from math import lcm
 
 
 class PebbleGame:
-    def __init__(self, n: int, k: int, l: int):
+    def __init__(self, n: int, k: int, l: int, copies: int = 1):
         if k < 1 or not (0 <= l < 2 * k):
             raise ValueError(f"pebble game needs k >= 1 and 0 <= l < 2k, got ({k}, {l})")
         self.n = n
         self.k = k
         self.l = l
+        self.copies = copies
         self.pebbles = [k] * n
         self.out: list[dict[int, int]] = [dict() for _ in range(n)]  # head -> arc count
-        self.orient: dict[int, tuple[int, int]] = {}  # edge key -> (tail, head)
-        self._keys_on: dict[tuple[int, int], list[int]] = {}  # (tail, head) -> keys
         self.last_region: list[int] = []
         # timestamped DFS scratch space: no per-search allocation
         self._mark = [0] * n
         self._prev = [0] * n
         self._stamp = 0
         self._seen_stamp = 0
+
+    @classmethod
+    def scaled(cls, n: int, a: Fraction | int, b: Fraction | int) -> "PebbleGame":
+        """Game deciding (a, b)-sparsity of simple graphs, rational a > 0 and b <= 0.
+
+        With q the least common denominator, each edge becomes q parallel
+        arcs in the integral (a*q, -b*q) game.
+        """
+        a, b = Fraction(a), Fraction(b)
+        q = lcm(a.denominator, b.denominator)
+        return cls(n, int(a * q), int(-b * q), copies=q)
 
     # -- internals ----------------------------------------------------------
 
@@ -82,22 +97,16 @@ class PebbleGame:
             v for v in range(self.n) if mark[v] == stamp_a or mark[v] == stamp_b
         )
 
-    def _reverse_arc(self, x: int, y: int) -> None:
+    def _drop_arc(self, x: int, y: int) -> None:
         cnt = self.out[x][y]
         if cnt == 1:
             del self.out[x][y]
         else:
             self.out[x][y] = cnt - 1
+
+    def _reverse_arc(self, x: int, y: int) -> None:
+        self._drop_arc(x, y)
         self.out[y][x] = self.out[y].get(x, 0) + 1
-        # keep named orientations consistent: flip a named arc only when the
-        # remaining anonymous multiplicity cannot absorb the reversal
-        keys = self._keys_on.get((x, y))
-        if keys and len(keys) > self.out[x].get(y, 0):
-            key = keys.pop()
-            if not keys:
-                del self._keys_on[(x, y)]
-            self._keys_on.setdefault((y, x), []).append(key)
-            self.orient[key] = (y, x)
 
     def _gather(self, u: int, v: int) -> bool:
         need = self.l + 1
@@ -132,6 +141,12 @@ class PebbleGame:
             self.last_region = self._region_from(su, self._seen_stamp)
             return have
 
+    def _remove(self, u: int, v: int, count: int) -> None:
+        for _ in range(count):
+            tail, head = (u, v) if v in self.out[u] else (v, u)
+            self._drop_arc(tail, head)
+            self.pebbles[tail] += 1
+
     # -- public surface -----------------------------------------------------
 
     def insertable(self, u: int, v: int) -> bool:
@@ -140,53 +155,25 @@ class PebbleGame:
         Pure with respect to the edge set; the orientation may shift, which
         is harmless.  On False, ``last_region`` holds the blocked vertex set.
         """
-        if u == v:
-            raise ValueError("loops are never sparse here")
-        return self._gather(u, v)
-
-    def insert(self, u: int, v: int, key: int | None = None) -> bool:
-        if u == v:
-            raise ValueError("loops are never sparse here")
-        if not self._gather(u, v):
+        if not self.insert(u, v):
             return False
-        tail, head = (u, v) if self.pebbles[u] > 0 else (v, u)
-        self.pebbles[tail] -= 1
-        self.out[tail][head] = self.out[tail].get(head, 0) + 1
-        if key is not None:
-            self.orient[key] = (tail, head)
-            self._keys_on.setdefault((tail, head), []).append(key)
+        self.delete(u, v)
         return True
 
-    def delete(self, key: int) -> None:
-        tail, head = self.orient.pop(key)
-        keys = self._keys_on[(tail, head)]
-        keys.remove(key)
-        if not keys:
-            del self._keys_on[(tail, head)]
-        cnt = self.out[tail][head]
-        if cnt == 1:
-            del self.out[tail][head]
-        else:
-            self.out[tail][head] = cnt - 1
-        self.pebbles[tail] += 1
+    def insert(self, u: int, v: int) -> bool:
+        """Accept {u, v} as ``copies`` parallel arcs, all or none, if the edge
+        set stays sparse.  On False, ``last_region`` holds the blocked set."""
+        if u == v:
+            raise ValueError("loops are never sparse here")
+        for placed in range(self.copies):
+            if not self._gather(u, v):
+                self._remove(u, v, placed)
+                return False
+            tail, head = (u, v) if self.pebbles[u] > 0 else (v, u)
+            self.pebbles[tail] -= 1
+            self.out[tail][head] = self.out[tail].get(head, 0) + 1
+        return True
 
-
-def scaled_sparsity_decision(
-    n: int,
-    edges: Sequence[tuple[int, int]],
-    k: int,
-    l: int,
-    copies: int = 1,
-) -> tuple[bool, list[int]]:
-    """Decide whether ``copies`` parallel copies of each edge form a (k, l)-sparse
-    multigraph; on failure also return the blocked vertex region.
-
-    This scales rational bounds to integers: a simple graph is (p/q, b)-sparse
-    with b <= 0 iff its q-fold blow-up is (p, -b*q)-sparse.
-    """
-    game = PebbleGame(n, k, l)
-    for u, v in edges:
-        for _ in range(copies):
-            if not game.insert(u, v):
-                return False, game.last_region
-    return True, []
+    def delete(self, u: int, v: int) -> None:
+        """Remove an accepted edge {u, v}: any ``copies`` arcs between u and v."""
+        self._remove(u, v, self.copies)

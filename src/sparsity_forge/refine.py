@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import TheoremViolationError, VerificationError
-from .graphs import EdgeSet, Graph, VertexSet
+from .graphs import EdgeSet, Graph, UnionFind, VertexSet
+from .matroid import ForestEngine
 from .sparsity import SparsityParams, is_sparse
 
 
@@ -47,67 +48,13 @@ class ForestPartition:
 
 
 def _acyclic(g: Graph, ids) -> bool:
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(g.n)
+    edges = g.edges
     for eid in ids:
-        u, v = g.edges[eid]
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        u, v = edges[eid]
+        if not uf.union(u, v):
             return False
-        parent[ru] = rv
     return True
-
-
-class _Forest:
-    """Mutable forest adjacency with path queries."""
-
-    def __init__(self, g: Graph, ids):
-        self.g = g
-        self.adj: list[dict[int, int]] = [dict() for _ in range(g.n)]
-        for eid in ids:
-            self.add(eid)
-
-    def add(self, eid: int) -> None:
-        u, v = self.g.edges[eid]
-        self.adj[u][v] = eid
-        self.adj[v][u] = eid
-
-    def remove(self, eid: int) -> None:
-        u, v = self.g.edges[eid]
-        del self.adj[u][v]
-        del self.adj[v][u]
-
-    def path(self, u: int, v: int) -> list[int] | None:
-        """Edge ids along the forest path u..v, ordered from the u end."""
-        from collections import deque
-
-        prev: dict[int, tuple[int, int]] = {u: (-1, -1)}
-        dq = deque([u])
-        while dq:
-            x = dq.popleft()
-            for y, eid in self.adj[x].items():
-                if y in prev:
-                    continue
-                prev[y] = (x, eid)
-                if y == v:
-                    out = []
-                    while y != u:
-                        x0, e0 = prev[y]
-                        out.append(e0)
-                        y = x0
-                    out.reverse()
-                    return out
-                dq.append(y)
-        return None
-
-    def connected(self, u: int, v: int) -> bool:
-        return self.path(u, v) is not None
 
 
 class _Remainder:
@@ -153,18 +100,11 @@ class _Remainder:
 
     def is_pseudoforest(self) -> bool:
         """Every component holds at most one cycle: components satisfy e <= v."""
-        parent = list(range(self.g.n))
+        uf = UnionFind(self.g.n)
         has_cycle = [False] * self.g.n
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for eid in self.ids:
             u, v = self.g.edges[eid]
-            ru, rv = find(u), find(v)
+            ru, rv = uf.find(u), uf.find(v)
             if ru == rv:
                 if has_cycle[ru]:
                     return False
@@ -172,7 +112,7 @@ class _Remainder:
             else:
                 if has_cycle[ru] and has_cycle[rv]:
                     return False
-                parent[ru] = rv
+                uf.union(ru, rv)
                 has_cycle[rv] = has_cycle[ru] or has_cycle[rv]
         return True
 
@@ -196,7 +136,7 @@ def eliminate_triangles(
     g = part.host
     _require_sparse(g, SparsityParams(2, -1), "host")
     _require_sparse(g.edge_subgraph(part.R.ids), SparsityParams(1, 0), "remainder")
-    forest = _Forest(g, part.F.ids)
+    forest = ForestEngine(g, part.F.ids)
     rem = _Remainder(g, part.R.ids)
     count = rem.triangle_count()
     if trace is not None:
@@ -218,7 +158,7 @@ def eliminate_triangles(
                 break
             for feid in path:
                 if _swap_improves(rem, opposite, feid):
-                    forest.remove(feid)
+                    forest.delete(feid)
                     forest.add(opposite)
                     rem.remove(opposite)
                     rem.add(feid)
@@ -237,19 +177,12 @@ def eliminate_triangles(
         if instrument:
             if new_count >= count:
                 raise VerificationError("triangle count did not decrease")
-            if not _acyclic(g, _forest_ids(forest)):
+            if not _acyclic(g, forest.ids()):
                 raise VerificationError("forest side grew a cycle")
             if not is_sparse(g.edge_subgraph(rem.ids), SparsityParams(1, 0)).sparse:
                 raise VerificationError("remainder stopped being (1,0)-sparse")
         count = new_count
-    return ForestPartition(g, EdgeSet(g, _forest_ids(forest)), EdgeSet(g, rem.ids))
-
-
-def _forest_ids(forest: _Forest) -> set[int]:
-    out = set()
-    for v in range(forest.g.n):
-        out.update(forest.adj[v].values())
-    return out
+    return ForestPartition(g, EdgeSet(g, forest.ids()), EdgeSet(g, rem.ids))
 
 
 def _swap_improves(rem: _Remainder, out_eid: int, in_eid: int) -> bool:
@@ -364,7 +297,7 @@ def brooks_refine(
     g = part.host
     _require_sparse(g, SparsityParams(k + 1, -s), "host")
     _require_sparse(g.edge_subgraph(part.R.ids), SparsityParams(k, 1 - s), "remainder")
-    forest = _Forest(g, part.F.ids)
+    forest = ForestEngine(g, part.F.ids)
     rem = _Remainder(g, part.R.ids)
     bad = _find_bad_sets(g, rem.ids, k, s)
     if trace is not None:
@@ -406,7 +339,7 @@ def brooks_refine(
                 raise TheoremViolationError(
                     "forest-path edge at the repair vertex stays inside the bad set"
                 )
-            forest.remove(feid)
+            forest.delete(feid)
             forest.add(eid)
             rem.remove(eid)
             rem.add(feid)
@@ -417,7 +350,7 @@ def brooks_refine(
         if not after <= (before - {frozenset(members)}):
             raise TheoremViolationError("a repaired or fresh bad set appeared")
         if instrument:
-            if not _acyclic(g, _forest_ids(forest)):
+            if not _acyclic(g, forest.ids()):
                 raise VerificationError("forest side grew a cycle")
             if not is_sparse(g.edge_subgraph(rem.ids), SparsityParams(k, 1 - s)).sparse:
                 raise VerificationError("remainder stopped being (k,1-s)-sparse")
@@ -428,7 +361,7 @@ def brooks_refine(
                         raise VerificationError(
                             "a set lost potential below the repair target"
                         )
-    return ForestPartition(g, EdgeSet(g, _forest_ids(forest)), EdgeSet(g, rem.ids))
+    return ForestPartition(g, EdgeSet(g, forest.ids()), EdgeSet(g, rem.ids))
 
 
 def _all_potentials(g: Graph, r_ids, k: int) -> dict[int, int]:

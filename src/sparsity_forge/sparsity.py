@@ -24,7 +24,7 @@ from typing import Iterable
 from .errors import PathologicalParametersError
 from .graphs import Graph, VertexSet
 from .mincut import selection_max
-from .pebble import PebbleGame, scaled_sparsity_decision
+from .pebble import PebbleGame
 from .rationals import ceil_fraction, floor_fraction, format_rational
 
 RationalLike = Fraction | int
@@ -136,16 +136,15 @@ def max_violation(g: Graph, a: RationalLike) -> tuple[Fraction, VertexSet]:
 
 
 def _max_violation_direct(g: Graph, p: int, q: int) -> tuple[Fraction, VertexSet]:
-    game = PebbleGame(g.n, p, 0)
+    game = PebbleGame(g.n, p, 0, copies=q)
     for u, v in g.edges:
-        for _ in range(q):
-            if not game.insert(u, v):
-                # zero-slack rejection certifies a positive maximum; the
-                # minimal min-cut source side is the witness convention
-                value, umin, _ = selection_max(g.n, g.edges, p, q)
-                if value <= 0:
-                    raise AssertionError("pebble engine and min cut disagree")
-                return Fraction(value, q), VertexSet(g, umin)
+        if not game.insert(u, v):
+            # zero-slack rejection certifies a positive maximum; the
+            # minimal min-cut source side is the witness convention
+            value, umin, _ = selection_max(g.n, g.edges, p, q)
+            if value <= 0:
+                raise AssertionError("pebble engine and min cut disagree")
+            return Fraction(value, q), VertexSet(g, umin)
     best = None
     region: list[int] = []
     for u, v in g.edges:
@@ -165,27 +164,30 @@ def _max_violation_cut_descent(g: Graph, p: int, q: int) -> tuple[Fraction, Vert
         return Fraction(value, q), VertexSet(g, umin)
     if umax:
         return Fraction(0), VertexSet(g, umax)
+
+    def blocked(l: int) -> list[int] | None:
+        """Region refuting (p/q, -l/q)-sparsity, or None when sparse."""
+        game = PebbleGame(g.n, p, l, copies=q)
+        for u, v in g.edges:
+            if not game.insert(u, v):
+                return game.last_region
+        return None
+
     # strictly negative maximum; it is at least q - 2p (a single edge)
     lo, hi = 1, 2 * p - q
-    failures: dict[int, list[int]] = {}
+    witness: list[int] = []  # region of the last refusal, which sits at hi + 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        ok, region = scaled_sparsity_decision(g.n, g.edges, p, mid, q)
-        if ok:
+        region = blocked(mid)
+        if region is None:
             lo = mid
         else:
-            failures[mid] = region
+            witness = region
             hi = mid - 1
-    lstar = lo
-    if lstar == 2 * p - q:
+    if lo == 2 * p - q:
         u, v = g.edges[0]
         return Fraction(q - 2 * p, q), VertexSet(g, [u, v])
-    region = failures.get(lstar + 1)
-    if region is None:
-        ok, region = scaled_sparsity_decision(g.n, g.edges, p, lstar + 1, q)
-        if ok:
-            raise AssertionError("threshold search lost its witness region")
-    return Fraction(-lstar, q), VertexSet(g, region)
+    return Fraction(-lo, q), VertexSet(g, witness)
 
 
 def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:

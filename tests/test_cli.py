@@ -57,7 +57,6 @@ def test_check_k6_at_seven_thirds(capsys, monkeypatch):
 
 
 def test_check_batch_order_preserved(capsys, monkeypatch):
-    monkeypatch.setenv("SPARSITY_FORGE_THREADS", "3")
     batch = g6(sf.complete_graph(3)) + g6(sf.Graph(3, [(0, 1)])) + g6(sf.complete_graph(4))
     code, out, _ = run_cli(capsys, ["check", "--a", "1", "--b", "-1"], batch, monkeypatch)
     verdicts = [json.loads(line)["verdict"] for line in out.splitlines()]

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsity_forge as sf
 from sparsity_forge.errors import GraphFormatError
@@ -98,6 +100,36 @@ def test_graph6_errors_name_offsets():
         sf.parse_graph6("Bw?")
     with pytest.raises(GraphFormatError):
         sf.parse_graph6("")
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.one_of(st.text(), st.binary()))
+def test_graph6_junk_raises_only_format_errors(junk):
+    try:
+        sf.parse_graph6(junk)
+    except GraphFormatError as exc:
+        assert exc.offset is None or 0 <= exc.offset <= len(junk)
+
+
+def test_graph6_non_ascii_text_names_its_offset():
+    with pytest.raises(GraphFormatError, match="offset 2"):
+        sf.parse_graph6("Bw\u00e6")
+
+
+@st.composite
+def graphs_crossing_the_long_header(draw):
+    n = draw(st.integers(0, 70))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60)) if pairs else []
+    return sf.Graph(n, edges)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(graphs_crossing_the_long_header())
+def test_graph6_roundtrip_property(g):
+    text = sf.write_graph6(g)
+    assert sf.parse_graph6(text) == g
+    assert sf.parse_graph6(text.encode() + b"\n") == g
 
 
 def test_graph6_optional_header_prefix():

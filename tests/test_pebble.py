@@ -1,0 +1,55 @@
+"""Keyless pebble game: random insert/delete runs against the brute oracle."""
+
+from collections import Counter
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sparsity_forge as sf
+from sparsity_forge.pebble import PebbleGame
+
+
+def _undirected_arcs(game: PebbleGame) -> Counter:
+    arcs = Counter()
+    for tail, heads in enumerate(game.out):
+        for head, count in heads.items():
+            arcs[min(tail, head), max(tail, head)] += count
+    return arcs
+
+
+def _assert_consistent(game: PebbleGame, edges: set) -> None:
+    for v in range(game.n):
+        assert game.pebbles[v] + sum(game.out[v].values()) == game.k
+    assert _undirected_arcs(game) == Counter({e: game.copies for e in edges})
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_keyless_game_matches_brute_force(data):
+    n = data.draw(st.integers(2, 7), label="n")
+    a = data.draw(st.fractions(Fraction(1, 2), 3, max_denominator=4), label="a")
+    b = -data.draw(st.fractions(0, 2 * a - 1, max_denominator=4), label="-b")
+    game = PebbleGame.scaled(n, a, b)
+    edges: set[tuple[int, int]] = set()
+    for _ in range(data.draw(st.integers(0, 25), label="steps")):
+        if edges and data.draw(st.booleans()):
+            u, v = data.draw(st.sampled_from(sorted(edges)))
+            game.delete(u, v)
+            edges.remove((u, v))
+        else:
+            pair = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            u, v = sorted(pair)
+            if (u, v) in edges:
+                continue
+            expected = sf.brute_sparse(sf.Graph(n, edges | {(u, v)}), a, b).sparse
+            assert game.insertable(u, v) == expected
+            _assert_consistent(game, edges)
+            free_before = sum(game.pebbles)
+            accepted = game.insert(u, v)
+            assert accepted == expected
+            if accepted:
+                edges.add((u, v))
+            else:
+                assert sum(game.pebbles) == free_before
+        _assert_consistent(game, edges)

@@ -104,11 +104,10 @@ def test_find_bad_sets_pruned_equals_naive(rng):
         ids = set()
         from sparsity_forge.pebble import PebbleGame
 
-        game = PebbleGame(g.n, k, s - 1) if s > 1 else PebbleGame(g.n, k, 0)
         # any (k, 1-s)-sparse remainder works for the equivalence check
         game = PebbleGame(g.n, k, s - 1)
         for eid, (u, v) in enumerate(g.edges):
-            if game.insert(u, v, key=eid):
+            if game.insert(u, v):
                 ids.add(eid)
         fast = _find_bad_sets(g, ids, k, s)
         slow = _find_bad_sets_naive(g, ids, k, s)
