@@ -18,7 +18,7 @@ import sys
 import time
 
 from .decompose import decompose_ksw, verify_decomposition
-from .errors import NotSparseError, SparsityForgeError
+from .errors import GraphFormatError, NotSparseError, SparsityForgeError
 from .graphs import (
     Graph,
     gen_counterexample_disconnected,
@@ -40,13 +40,16 @@ EXIT_ERROR = 2
 
 def _read_graphs(args) -> list[Graph]:
     if args.input and args.input != "-":
-        with open(args.input, "r", encoding="ascii") as fh:
-            text = fh.read()
+        with open(args.input, "rb") as fh:
+            data = fh.read()
     else:
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     if args.format == "edgelist":
-        return [parse_edgelist(text)]
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        try:
+            return [parse_edgelist(data.decode("ascii"))]
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"non-ASCII byte {data[exc.start]:#04x}", exc.start) from None
+    lines = [ln.strip() for ln in data.splitlines() if ln.strip()]
     return [parse_graph6(ln) for ln in lines]
 
 

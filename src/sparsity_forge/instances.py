@@ -8,17 +8,18 @@ from fractions import Fraction
 from .graphs import Graph
 from .pebble import PebbleGame
 
+DENSITY_FACTOR = 4  # candidate pairs sampled per edge of the target count
+
 
 def random_sparse_graph(
     n: int,
     a: Fraction | int,
     rng: random.Random,
     b: Fraction | int = 0,
-    density_factor: int = 4,
 ) -> Graph:
     """A seeded random (a, b)-sparse graph on n vertices, b <= 0.
 
-    Samples roughly density_factor * a * n candidate pairs of a random graph
+    Samples roughly DENSITY_FACTOR * a * n candidate pairs of a random graph
     and greedily deletes every edge whose retention would break sparsity
     (equivalently: keeps each candidate iff the pebble engine accepts it),
     stopping once floor(a*n + b) edges survive.  Deterministic given the RNG.
@@ -27,7 +28,7 @@ def random_sparse_graph(
     if a <= 0 or b > 0 or 2 * a + b < 1:
         raise ValueError("need a > 0 and nonpathological b <= 0")
     target = max(0, int(a * n + b))
-    want = min(max(1, density_factor * target), n * (n - 1) // 2)
+    want = min(max(1, DENSITY_FACTOR * target), n * (n - 1) // 2)
     pairs: set[tuple[int, int]] = set()
     while len(pairs) < want:
         u = rng.randrange(n)

@@ -6,10 +6,12 @@ positive b).  The public oracle answers independence by calling the exact
 sparsity engine; rank is matroid greedy over ascending edge ids.
 
 The private engine classes at the bottom give the partition module an
-incremental view of the same matroids: insert, delete, and fundamental
-circuits.  A circuit query finds the unique minimal tight vertex set
-containing the new edge's endpoints via a forced min-cut, which is exact:
-minimal tight sets through a fixed pair are closed under intersection.
+incremental view of the same matroids: insert, delete, and ``circuit(u, v)``,
+which returns None when the edge fits and otherwise the members spanned by
+the unique minimal tight vertex set through u and v (minimal tight sets
+through a fixed pair are closed under intersection).  For b <= 0 that set is
+the region a refused pebble gather reaches from {u, v} (Lee & Streinu); only
+b > 0 falls back to a forced min-cut.
 """
 
 from __future__ import annotations
@@ -92,23 +94,25 @@ def find_tight_components(o: CountMatroidOracle, s: EdgeSet) -> list[VertexSet]:
     """Vertex sets of the maximal connected (a, b)-tight subgraphs of (V(s), s).
 
     Needs the regime -a <= b <= 0, where such sets are pairwise vertex
-    disjoint.  Each edge's minimal tight set (forced min-cut) is computed and
-    overlapping ones are merged; a tight set has no isolated vertices, so the
-    merge recovers every maximal connected tight subgraph exactly.
+    disjoint.  The set is played into an (a, -b) pebble game; an edge lies in
+    a tight set exactly when no more than -b pebbles gather onto its
+    endpoints, and the stalled gather's region is its minimal tight set.
+    Overlapping minimal sets are merged; a tight set has no isolated vertices,
+    so the merge recovers every maximal connected tight subgraph exactly.
     """
     if o.validity_class != LOREA or o.b < -o.a:
         raise MatroidRegimeError("tight components need -a <= b <= 0")
-    if not o.is_independent(s):
-        raise ValueError("edge set is dependent; tight components are defined on independent sets")
+    if s.host != o.host:
+        raise ValueError("edge set belongs to a different host graph")
     g = o.host
-    ordered = s.sorted()
-    pairs = [g.edges[i] for i in ordered]
+    pairs = [g.edges[i] for i in s.sorted()]
+    game = PebbleGame(g.n, o.a, -o.b)
+    if not all(game.insert(u, v) for u, v in pairs):
+        raise ValueError("edge set is dependent; tight components are defined on independent sets")
     tight_sets: list[list[int]] = []
     for u, v in pairs:
-        value, umin, _ = selection_max(g.n, pairs, o.a, 1, free_vertices=(u, v))
-        # value - 2a = max of e(U) - a|U| over U containing u, v; tight iff == b
-        if value - 2 * o.a == o.b:
-            tight_sets.append(umin)
+        if game.gather_max(u, v, stop_at=1 - o.b) == -o.b:
+            tight_sets.append(game.last_region)
     # merge overlapping minimal tight sets (union of intersecting tight sets is tight)
     uf = UnionFind(len(tight_sets))
     owner: dict[int, int] = {}
@@ -137,11 +141,8 @@ class ForestEngine:
         for eid in ids:
             self.add(eid)
 
-    def insertable(self, u: int, v: int) -> bool:
-        return self.path(u, v) is None
-
     def insert(self, eid: int, u: int, v: int) -> bool:
-        if not self.insertable(u, v):
+        if self.path(u, v) is not None:
             return False
         self.add(eid)
         return True
@@ -157,11 +158,8 @@ class ForestEngine:
         del self.adj[u][v]
         del self.adj[v][u]
 
-    def circuit(self, u: int, v: int) -> list[int]:
-        path = self.path(u, v)
-        if path is None:
-            raise ValueError("edge is independent; no circuit")
-        return path
+    def circuit(self, u: int, v: int) -> list[int] | None:
+        return self.path(u, v)
 
     def ids(self) -> set[int]:
         return {eid for nbrs in self.adj for eid in nbrs.values()}
@@ -191,16 +189,12 @@ class ForestEngine:
 
 
 class PebbleCountEngine:
-    """Integral (a, b) with -2a < b <= 0: pebble inserts, min-cut circuits."""
+    """Integral (a, b) with -2a < b <= 0: pebble inserts and circuits."""
 
     def __init__(self, host: Graph, a: int, b: int):
         self.host = host
-        self.a, self.b = a, b
         self.game = PebbleGame(host.n, a, -b)
         self.members: set[int] = set()
-
-    def insertable(self, u: int, v: int) -> bool:
-        return self.game.insertable(u, v)
 
     def insert(self, eid: int, u: int, v: int) -> bool:
         if not self.game.insert(u, v):
@@ -212,18 +206,11 @@ class PebbleCountEngine:
         self.game.delete(*self.host.edges[eid])
         self.members.remove(eid)
 
-    def circuit(self, u: int, v: int) -> list[int]:
-        ordered = sorted(self.members)
-        pairs = [self.host.edges[i] for i in ordered]
-        value, umin, _ = selection_max(self.host.n, pairs, self.a, 1, free_vertices=(u, v))
-        if value - 2 * self.a != self.b:
-            raise ValueError("edge is independent; no circuit")
-        inside = set(umin)
-        return [
-            eid
-            for eid, (x, y) in zip(ordered, pairs)
-            if x in inside and y in inside
-        ]
+    def circuit(self, u: int, v: int) -> list[int] | None:
+        if self.game.insertable(u, v):
+            return None
+        inside = set(self.game.last_region)
+        return [eid for eid in sorted(self.members) if inside.issuperset(self.host.edges[eid])]
 
 
 class MincutCountEngine:
@@ -234,15 +221,8 @@ class MincutCountEngine:
         self.a, self.b = a, b
         self.members: set[int] = set()
 
-    def _forced(self, u: int, v: int) -> tuple[int, list[int], list[int]]:
-        ordered = sorted(self.members)
-        pairs = [self.host.edges[i] for i in ordered]
-        value, umin, umax = selection_max(self.host.n, pairs, self.a, 1, free_vertices=(u, v))
-        return value - 2 * self.a, umin, ordered
-
     def insertable(self, u: int, v: int) -> bool:
-        shifted, _, _ = self._forced(u, v)
-        return shifted < self.b  # no tight set through u, v
+        return self.circuit(u, v) is None
 
     def insert(self, eid: int, u: int, v: int) -> bool:
         if not self.insertable(u, v):
@@ -253,16 +233,15 @@ class MincutCountEngine:
     def delete(self, eid: int) -> None:
         self.members.remove(eid)
 
-    def circuit(self, u: int, v: int) -> list[int]:
-        shifted, umin, ordered = self._forced(u, v)
-        if shifted != self.b:
-            raise ValueError("edge is independent; no circuit")
+    def circuit(self, u: int, v: int) -> list[int] | None:
+        ordered = sorted(self.members)
+        pairs = [self.host.edges[i] for i in ordered]
+        value, umin, _ = selection_max(self.host.n, pairs, self.a, 1, free_vertices=(u, v))
+        # value - 2a = max of e(U) - a|U| over U containing u, v
+        if value - 2 * self.a < self.b:
+            return None  # no tight set through u, v
         inside = set(umin)
-        return [
-            eid
-            for eid in ordered
-            if self.host.edges[eid][0] in inside and self.host.edges[eid][1] in inside
-        ]
+        return [eid for eid, (x, y) in zip(ordered, pairs) if x in inside and y in inside]
 
 
 class TrivialEngine:
@@ -270,9 +249,6 @@ class TrivialEngine:
 
     def __init__(self, host: Graph):
         self.host = host
-
-    def insertable(self, u: int, v: int) -> bool:
-        return False
 
     def insert(self, eid: int, u: int, v: int) -> bool:
         return False

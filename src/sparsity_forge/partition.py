@@ -108,15 +108,14 @@ def _augment(g, engines, color, start):
                 queue.append(x)
     while queue:
         y = queue.popleft()
-        target = other[color[y]]
-        u, v = g.edges[y]
-        if engines[target].insertable(u, v):
+        circuit = engines[other[color[y]]].circuit(*g.edges[y])
+        if circuit is None:
             chain = [y]
             while chain[-1] != start:
                 chain.append(pred[chain[-1]])
             chain.reverse()
             return chain, visited
-        for x in sorted(engines[target].circuit(u, v)):
+        for x in sorted(circuit):
             if x not in visited:
                 visited.add(x)
                 pred[x] = y

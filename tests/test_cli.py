@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON schemas, piping, bench determinism."""
 
+import io
 import json
 import subprocess
 import sys
@@ -11,9 +12,8 @@ from sparsity_forge.cli import main
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
-        import io
-
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        data = stdin_text if isinstance(stdin_text, bytes) else stdin_text.encode()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -72,6 +72,22 @@ def test_check_edgelist_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["verdict"] == "sparse"
+
+
+def test_non_ascii_edgelist_file_names_the_byte(capsys, tmp_path):
+    f = tmp_path / "g.txt"
+    f.write_bytes(b"1 \xc3\xa6\n")
+    code, out, err = run_cli(
+        capsys, ["check", "--a", "1", "--b", "0", "--format", "edgelist", str(f)]
+    )
+    assert code == 2 and out == ""
+    assert err == "error: non-ASCII byte 0xc3 (at byte offset 2)\n"
+
+
+def test_invalid_utf8_graph6_line_names_the_byte(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, ["check", "--a", "1", "--b", "-1"], b"Bw\n\xff\n", monkeypatch)
+    assert code == 2 and out == ""
+    assert err == "error: header byte 255 outside graph6 range 63..126 (at byte offset 0)\n"
 
 
 def test_parse_error_exit_2(capsys, monkeypatch):

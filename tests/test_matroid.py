@@ -6,6 +6,7 @@ import pytest
 
 import sparsity_forge as sf
 from sparsity_forge.errors import MatroidRegimeError
+from sparsity_forge.matroid import engine_for
 
 from conftest import random_graph
 
@@ -98,6 +99,43 @@ def test_rank_monotone_and_submodular(rng):
             runion = sf.rank(o, edge_set(g, s | t))
             rinter = sf.rank(o, edge_set(g, s & t))
             assert runion + rinter <= rs + rt
+
+
+@pytest.mark.parametrize(
+    "a, b, engine",
+    [
+        (1, -1, "ForestEngine"),
+        (1, 0, "PebbleCountEngine"),
+        (2, -3, "PebbleCountEngine"),
+        (1, 1, "MincutCountEngine"),
+        (2, 1, "MincutCountEngine"),
+        (1, -2, "TrivialEngine"),
+    ],
+)
+def test_engine_circuit_is_none_exactly_when_insert_succeeds(rng, a, b, engine):
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(2, 9), rng.choice([0.4, 0.7]))
+        o = sf.make_oracle(g, a, b)
+        eng = engine_for(o)
+        assert type(eng).__name__ == engine
+        members: list[int] = []
+        for eid, (u, v) in enumerate(g.edges):
+            circuit = eng.circuit(u, v)
+            fits = eng.insert(eid, u, v)
+            assert (circuit is None) == fits
+            assert fits == o.is_independent(edge_set(g, members + [eid]))
+            if fits:
+                members.append(eid)
+            else:
+                # fundamental circuit: members plus eid minus any circuit element is independent
+                assert set(circuit) <= set(members)
+                for x in circuit:
+                    rest = [y for y in members if y != x]
+                    assert o.is_independent(edge_set(g, rest + [eid]))
+            if members and rng.random() < 0.2:
+                gone = rng.choice(members)
+                eng.delete(gone)
+                members.remove(gone)
 
 
 def test_tight_components_of_forest():

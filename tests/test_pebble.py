@@ -1,4 +1,5 @@
-"""Keyless pebble game: random insert/delete runs against the brute oracle."""
+"""Keyless pebble game: random insert/delete runs against the brute oracle
+and the min-cut minimal tight set."""
 
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsity_forge as sf
+from sparsity_forge.mincut import selection_max
 from sparsity_forge.pebble import PebbleGame
 
 
@@ -52,4 +54,7 @@ def test_keyless_game_matches_brute_force(data):
                 edges.add((u, v))
             else:
                 assert sum(game.pebbles) == free_before
+                # the refused gather's reach is the minimal tight set through u, v
+                minimal = selection_max(n, sorted(edges), game.k, game.copies, free_vertices=(u, v))[1]
+                assert game.last_region == minimal
         _assert_consistent(game, edges)
