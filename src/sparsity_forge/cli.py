@@ -48,9 +48,23 @@ def _read_graphs(args) -> list[Graph]:
         try:
             return [parse_edgelist(data.decode("ascii"))]
         except UnicodeDecodeError as exc:
-            raise GraphFormatError(f"non-ASCII byte {data[exc.start]:#04x}", exc.start) from None
-    lines = [ln.strip() for ln in data.splitlines() if ln.strip()]
-    return [parse_graph6(ln) for ln in lines]
+            # the offending byte is no line break, so it ends the last line counted
+            line = len(data[: exc.start + 1].splitlines())
+            raise GraphFormatError(
+                f"non-ASCII byte {data[exc.start]:#04x}", exc.start, line=line
+            ) from None
+    graphs = []
+    start = 0  # byte offset of the current line in the whole input
+    for lineno, line in enumerate(data.splitlines(keepends=True), 1):
+        record = line.strip()
+        if record:
+            try:
+                graphs.append(parse_graph6(record))
+            except GraphFormatError as exc:
+                offset = start + len(line) - len(line.lstrip()) + exc.offset
+                raise GraphFormatError(exc.reason, offset, line=lineno) from None
+        start += len(line)
+    return graphs
 
 
 def _add_io_args(p: argparse.ArgumentParser) -> None:

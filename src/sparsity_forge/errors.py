@@ -6,13 +6,19 @@ class SparsityForgeError(Exception):
 
 
 class GraphFormatError(SparsityForgeError, ValueError):
-    """Malformed graph6 / edge-list input.  Carries the byte offset when known."""
+    """Malformed graph6 / edge-list input.  Carries the byte offset when known,
+    and the 1-based line of a multi-line input; ``reason`` is the message
+    without them."""
 
-    def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
+    def __init__(self, message: str, offset: int | None = None, line: int | None = None):
+        self.reason = message
+        if line is not None:
+            message = f"{message} (line {line}, at byte offset {offset})"
+        elif offset is not None:
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+        self.line = line
 
 
 class PathologicalParametersError(SparsityForgeError, ValueError):

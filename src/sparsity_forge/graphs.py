@@ -211,22 +211,22 @@ _G6_MAX_LONG = 258047
 _G6_MAX_HUGE = 68719476735
 
 
-def _parse_graph6_header(data: bytes) -> tuple[int, int]:
-    """Return (n, index of first adjacency byte)."""
-    if not data:
-        raise GraphFormatError("empty graph6 string", 0)
-    c = data[0]
+def _parse_graph6_header(data: bytes, at: int) -> tuple[int, int]:
+    """Return (n, index of first adjacency byte) for the header at ``at``."""
+    if len(data) <= at:
+        raise GraphFormatError("empty graph6 string", at)
+    c = data[at]
     if c != 126:
         if not (63 <= c <= 126):
-            raise GraphFormatError(f"header byte {c} outside graph6 range 63..126", 0)
-        return c - 63, 1
+            raise GraphFormatError(f"header byte {c} outside graph6 range 63..126", at)
+        return c - 63, at + 1
     # long form: '~' then 3 bytes; huge form: '~~' then 6 bytes
-    if len(data) >= 2 and data[1] == 126:
-        raw, start = data[2:8], 2
+    if len(data) >= at + 2 and data[at + 1] == 126:
+        raw, start = data[at + 2 : at + 8], at + 2
         if len(raw) < 6:
             raise GraphFormatError("truncated huge-form vertex count", len(data))
     else:
-        raw, start = data[1:4], 1
+        raw, start = data[at + 1 : at + 4], at + 1
         if len(raw) < 3:
             raise GraphFormatError("truncated long-form vertex count", len(data))
     n = 0
@@ -257,9 +257,7 @@ def parse_graph6(text: str | bytes) -> Graph:
     else:
         data = bytes(text)
     data = data.rstrip(b"\r\n")
-    if data.startswith(b">>graph6<<"):
-        data = data[10:]
-    n, pos = _parse_graph6_header(data)
+    n, pos = _parse_graph6_header(data, 10 if data.startswith(b">>graph6<<") else 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     body = data[pos:]

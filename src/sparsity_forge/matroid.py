@@ -11,7 +11,9 @@ which returns None when the edge fits and otherwise the members spanned by
 the unique minimal tight vertex set through u and v (minimal tight sets
 through a fixed pair are closed under intersection).  For b <= 0 that set is
 the region a refused pebble gather reaches from {u, v} (Lee & Streinu); only
-b > 0 falls back to a forced min-cut.
+b > 0 falls back to a forced min-cut.  ``insert(eid, u, v)`` follows the same
+convention: None when it places the edge, otherwise the circuit that refused
+it.
 """
 
 from __future__ import annotations
@@ -141,11 +143,11 @@ class ForestEngine:
         for eid in ids:
             self.add(eid)
 
-    def insert(self, eid: int, u: int, v: int) -> bool:
-        if self.path(u, v) is not None:
-            return False
-        self.add(eid)
-        return True
+    def insert(self, eid: int, u: int, v: int) -> list[int] | None:
+        path = self.path(u, v)
+        if path is None:
+            self.add(eid)
+        return path
 
     def add(self, eid: int) -> None:
         """Add a host edge without the cycle check; the caller vouches for it."""
@@ -196,11 +198,11 @@ class PebbleCountEngine:
         self.game = PebbleGame(host.n, a, -b)
         self.members: set[int] = set()
 
-    def insert(self, eid: int, u: int, v: int) -> bool:
+    def insert(self, eid: int, u: int, v: int) -> list[int] | None:
         if not self.game.insert(u, v):
-            return False
+            return self._spanned_by_region()
         self.members.add(eid)
-        return True
+        return None
 
     def delete(self, eid: int) -> None:
         self.game.delete(*self.host.edges[eid])
@@ -209,6 +211,10 @@ class PebbleCountEngine:
     def circuit(self, u: int, v: int) -> list[int] | None:
         if self.game.insertable(u, v):
             return None
+        return self._spanned_by_region()
+
+    def _spanned_by_region(self) -> list[int]:
+        """Members inside the region of the game's last refused gather."""
         inside = set(self.game.last_region)
         return [eid for eid in sorted(self.members) if inside.issuperset(self.host.edges[eid])]
 
@@ -224,11 +230,11 @@ class MincutCountEngine:
     def insertable(self, u: int, v: int) -> bool:
         return self.circuit(u, v) is None
 
-    def insert(self, eid: int, u: int, v: int) -> bool:
-        if not self.insertable(u, v):
-            return False
-        self.members.add(eid)
-        return True
+    def insert(self, eid: int, u: int, v: int) -> list[int] | None:
+        circuit = self.circuit(u, v)
+        if circuit is None:
+            self.members.add(eid)
+        return circuit
 
     def delete(self, eid: int) -> None:
         self.members.remove(eid)
@@ -250,8 +256,8 @@ class TrivialEngine:
     def __init__(self, host: Graph):
         self.host = host
 
-    def insert(self, eid: int, u: int, v: int) -> bool:
-        return False
+    def insert(self, eid: int, u: int, v: int) -> list[int]:
+        return self.circuit(u, v)
 
     def delete(self, eid: int) -> None:
         raise ValueError("trivial matroid holds no elements")

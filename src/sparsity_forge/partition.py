@@ -71,13 +71,15 @@ def matroid_union_partition(
     color: dict[int, int] = {}
     for eid in range(g.e):
         u, v = g.edges[eid]
-        if engines[1].insert(eid, u, v):
+        circuit1 = engines[1].insert(eid, u, v)
+        if circuit1 is None:
             color[eid] = 1
             continue
-        if engines[2].insert(eid, u, v):
+        circuit2 = engines[2].insert(eid, u, v)
+        if circuit2 is None:
             color[eid] = 2
             continue
-        chain, visited = _augment(g, engines, color, eid)
+        chain, visited = _augment(g, engines, color, eid, (circuit1, circuit2))
         if chain is None:
             return _deficiency_result(g, m1, m2, visited, minimize_certificate)
         _apply_chain(g, engines, color, chain)
@@ -89,8 +91,9 @@ def matroid_union_partition(
     return PartitionResult(success=True, e1=e1, e2=e2)
 
 
-def _augment(g, engines, color, start):
-    """BFS the exchange digraph from an unplaced edge.
+def _augment(g, engines, color, start, start_circuits):
+    """BFS the exchange digraph from an unplaced edge, whose circuits in the
+    two sides (from the refused inserts) are ``start_circuits``.
 
     Returns (chain, visited): chain = [start, x1, ..., xt] where each element
     displaces the next and xt finally fits the opposite side directly, or
@@ -100,8 +103,8 @@ def _augment(g, engines, color, start):
     visited = {start}
     pred: dict[int, int] = {}
     queue: deque[int] = deque()
-    for c in (1, 2):
-        for x in sorted(engines[c].circuit(*g.edges[start])):
+    for circuit in start_circuits:
+        for x in sorted(circuit):
             if x not in visited:
                 visited.add(x)
                 pred[x] = start
@@ -135,7 +138,7 @@ def _apply_chain(g, engines, color, chain):
             engines[old].delete(eid)
     for eid, _, new in reversed(moves):
         u, v = g.edges[eid]
-        if not engines[new].insert(eid, u, v):
+        if engines[new].insert(eid, u, v) is not None:
             raise VerificationError("exchange chain application failed; this is a bug")
         color[eid] = new
 

@@ -48,7 +48,9 @@ class PebbleGame:
         """
         a, b = Fraction(a), Fraction(b)
         q = lcm(a.denominator, b.denominator)
-        return cls(n, int(a * q), int(-b * q), copies=q)
+        # integer arithmetic: is_sparse builds one of these per decision
+        k, l = a.numerator * (q // a.denominator), -b.numerator * (q // b.denominator)
+        return cls(n, k, l, copies=q)
 
     # -- internals ----------------------------------------------------------
 

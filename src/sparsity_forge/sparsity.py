@@ -9,17 +9,20 @@ is the canonical (2, -3)-tight example).  For edgeless subgraphs the bound
 is slack whenever 2a + b >= 1, and parameters with 2a + b < 1 are rejected
 as pathological, so the two-vertex floor loses nothing.
 
-All decisions run on exact rationals.  A positive maximum of e(G[U]) - a|U|
-is computed by min-cut over the standard edge/vertex selection network; a
-maximum at or below zero is pinned down exactly by the pebble engine (see
-max_violation for the two strategies and when each runs).
+All decisions run on exact rationals.  For b <= 0 the verdict comes from one
+scaled pebble sweep at (a, b) (Lee & Streinu): the graph is sparse exactly
+when every edge is accepted.  The certificate's numbers are exact all the
+same; they are computed the first time one is read.  A positive maximum of
+e(G[U]) - a|U| is computed by min-cut over the standard edge/vertex
+selection network; a maximum at or below zero is pinned down exactly by the
+pebble engine (see max_violation for the two strategies and when each runs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import PathologicalParametersError
 from .graphs import Graph, VertexSet
@@ -70,6 +73,10 @@ class SparsityCertificate:
     ``min_potential`` its negation a|U| - e(G[U]).  Graphs with fewer than
     two vertices satisfy every bound vacuously and carry None in the two
     numeric fields.
+
+    A sparse verdict that is_sparse reached by a pebble sweep arrives without
+    these three fields: the exact maximum and its witness are computed the
+    first time any of them is read, and kept.
     """
 
     sparse: bool
@@ -77,6 +84,31 @@ class SparsityCertificate:
     max_violation: Fraction | None
     min_potential: Fraction | None
     params: SparsityParams
+
+    @classmethod
+    def _sparse_exact_on_read(
+        cls, params: SparsityParams, exact: Callable[[], tuple[Fraction, VertexSet]]
+    ) -> "SparsityCertificate":
+        """A sparse certificate whose numeric fields come from ``exact()``, which
+        returns the maximum of e(G[U]) - a|U| and a witness attaining it."""
+        cert = object.__new__(cls)
+        object.__setattr__(cert, "sparse", True)
+        object.__setattr__(cert, "params", params)
+        object.__setattr__(cert, "_exact", exact)
+        return cert
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: the three fields
+        # of a _sparse_exact_on_read certificate before their first read
+        exact = self.__dict__.get("_exact")
+        if exact is None or name not in ("witness", "max_violation", "min_potential"):
+            raise AttributeError(name)
+        m, witness = exact()
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "max_violation", m - self.params.b)
+        object.__setattr__(self, "min_potential", -m)
+        del self.__dict__["_exact"]
+        return self.__dict__[name]
 
     @property
     def verdict(self) -> str:
@@ -104,7 +136,9 @@ def potential(g: Graph, vertices: VertexSet | Iterable[int], a: RationalLike) ->
 _DIRECT_GATHER_LIMIT = 40
 
 
-def max_violation(g: Graph, a: RationalLike) -> tuple[Fraction, VertexSet]:
+def max_violation(
+    g: Graph, a: RationalLike, _accepted: PebbleGame | None = None
+) -> tuple[Fraction, VertexSet]:
     """Exact max of e(G[U]) - a|U| over vertex sets with |U| >= 2, with witness.
 
     A positive maximum comes from one min-cut on the selection network (the
@@ -119,6 +153,11 @@ def max_violation(g: Graph, a: RationalLike) -> tuple[Fraction, VertexSet]:
 
     Degenerate case: a single-vertex graph has no admissible U; the lone
     vertex is returned with value -a.
+
+    ``_accepted`` lets is_sparse hand over its scaled game once that game has
+    accepted every edge of g; small graphs then gather on it in place of a
+    second sweep (gather counts and stalled regions do not depend on the
+    game's l or on its orientation, so the answer is the same).
     """
     a = Fraction(a)
     if a <= 0:
@@ -131,20 +170,26 @@ def max_violation(g: Graph, a: RationalLike) -> tuple[Fraction, VertexSet]:
     if g.e == 0:
         return -2 * a, VertexSet(g, [0, 1])
     if g.n <= _DIRECT_GATHER_LIMIT:
-        return _max_violation_direct(g, p, q)
+        return _max_violation_direct(g, p, q, _accepted)
     return _max_violation_cut_descent(g, p, q)
 
 
-def _max_violation_direct(g: Graph, p: int, q: int) -> tuple[Fraction, VertexSet]:
-    game = PebbleGame(g.n, p, 0, copies=q)
-    for u, v in g.edges:
-        if not game.insert(u, v):
-            # zero-slack rejection certifies a positive maximum; the
-            # minimal min-cut source side is the witness convention
-            value, umin, _ = selection_max(g.n, g.edges, p, q)
-            if value <= 0:
-                raise AssertionError("pebble engine and min cut disagree")
-            return Fraction(value, q), VertexSet(g, umin)
+def _positive_max(g: Graph, p: int, q: int) -> tuple[Fraction, VertexSet]:
+    """The maximum once a zero-slack refusal has proved it positive; the
+    minimal min-cut source side is the witness convention."""
+    value, umin, _ = selection_max(g.n, g.edges, p, q)
+    if value <= 0:
+        raise AssertionError("pebble engine and min cut disagree")
+    return Fraction(value, q), VertexSet(g, umin)
+
+
+def _max_violation_direct(
+    g: Graph, p: int, q: int, game: PebbleGame | None = None
+) -> tuple[Fraction, VertexSet]:
+    if game is None:
+        game = PebbleGame(g.n, p, 0, copies=q)
+        if not all(game.insert(u, v) for u, v in g.edges):
+            return _positive_max(g, p, q)
     best = None
     region: list[int] = []
     for u, v in g.edges:
@@ -155,7 +200,7 @@ def _max_violation_direct(g: Graph, p: int, q: int) -> tuple[Fraction, VertexSet
             if best == 0:
                 break
     assert best is not None
-    return Fraction(-best, q), VertexSet(g, region)
+    return Fraction(-best, game.copies), VertexSet(g, region)
 
 
 def _max_violation_cut_descent(g: Graph, p: int, q: int) -> tuple[Fraction, VertexSet]:
@@ -191,7 +236,14 @@ def _max_violation_cut_descent(g: Graph, p: int, q: int) -> tuple[Fraction, Vert
 
 
 def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:
-    """Decide (a, b)-sparsity and return the witness certificate."""
+    """Decide (a, b)-sparsity and return the witness certificate.
+
+    For b <= 0 one pebble sweep at (a, b) gives the verdict.  When it accepts
+    every edge, the certificate's witness and numbers are computed exactly
+    on first read.  A refusal at b = 0 proves the maximum positive, and one
+    min-cut gives it; a refusal at b < 0, and every b > 0, go through
+    max_violation at once.
+    """
     if params.pathological:
         raise PathologicalParametersError(
             f"parameters {params} have 2a + b < 1; only edgeless graphs qualify"
@@ -204,13 +256,19 @@ def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:
             min_potential=None,
             params=params,
         )
-    m, u = max_violation(g, params.a)
+    a, b = params.a, params.b
+    if b <= 0:
+        game = PebbleGame.scaled(g.n, a, b)
+        if all(game.insert(u, v) for u, v in g.edges):
+            return SparsityCertificate._sparse_exact_on_read(
+                params, lambda: max_violation(g, a, _accepted=game)
+            )
+    if b == 0:  # the sweep refused an edge at zero slack
+        m, u = _positive_max(g, a.numerator, a.denominator)
+    else:
+        m, u = max_violation(g, a)
     return SparsityCertificate(
-        sparse=m <= params.b,
-        witness=u,
-        max_violation=m - params.b,
-        min_potential=-m,
-        params=params,
+        sparse=m <= b, witness=u, max_violation=m - b, min_potential=-m, params=params
     )
 
 

@@ -81,13 +81,29 @@ def test_non_ascii_edgelist_file_names_the_byte(capsys, tmp_path):
         capsys, ["check", "--a", "1", "--b", "0", "--format", "edgelist", str(f)]
     )
     assert code == 2 and out == ""
-    assert err == "error: non-ASCII byte 0xc3 (at byte offset 2)\n"
+    assert err == "error: non-ASCII byte 0xc3 (line 1, at byte offset 2)\n"
+    f.write_bytes(b"n = 3\r\n0 1\r\n\r\n1 2 \xff\n")
+    code, out, err = run_cli(
+        capsys, ["check", "--a", "1", "--b", "0", "--format", "edgelist", str(f)]
+    )
+    assert code == 2 and out == ""
+    assert err == "error: non-ASCII byte 0xff (line 4, at byte offset 18)\n"
 
 
 def test_invalid_utf8_graph6_line_names_the_byte(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["check", "--a", "1", "--b", "-1"], b"Bw\n\xff\n", monkeypatch)
     assert code == 2 and out == ""
-    assert err == "error: header byte 255 outside graph6 range 63..126 (at byte offset 0)\n"
+    assert err == "error: header byte 255 outside graph6 range 63..126 (line 2, at byte offset 3)\n"
+
+
+def test_graph6_errors_count_from_the_start_of_the_input(capsys, monkeypatch):
+    # blank and indented lines, a CR LF ending and the optional >>graph6<< prefix
+    # all shift the offending byte; offsets count every byte before it
+    text = b"Bw\r\n\n  >>graph6<<Bw\n\t>>graph6<<Bx\xff\n"
+    code, out, err = run_cli(capsys, ["check", "--a", "1", "--b", "-1"], text, monkeypatch)
+    assert code == 2 and out == ""
+    assert err == "error: trailing bytes after adjacency bits (line 4, at byte offset 33)\n"
+    assert text[33:34] == b"\xff"
 
 
 def test_parse_error_exit_2(capsys, monkeypatch):

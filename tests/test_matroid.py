@@ -121,8 +121,9 @@ def test_engine_circuit_is_none_exactly_when_insert_succeeds(rng, a, b, engine):
         members: list[int] = []
         for eid, (u, v) in enumerate(g.edges):
             circuit = eng.circuit(u, v)
-            fits = eng.insert(eid, u, v)
-            assert (circuit is None) == fits
+            refused_by = eng.insert(eid, u, v)
+            assert refused_by == circuit  # a refused insert returns the same circuit
+            fits = refused_by is None
             assert fits == o.is_independent(edge_set(g, members + [eid]))
             if fits:
                 members.append(eid)

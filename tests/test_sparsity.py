@@ -5,9 +5,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sparsity_forge as sf
+from sparsity_forge import sparsity
 from sparsity_forge.errors import PathologicalParametersError
+from sparsity_forge.instances import random_sparse_graph
 
 from conftest import random_graph
 
@@ -273,3 +277,66 @@ def test_potential_submodularity(rng):
         lhs = sf.potential(g, u1 & u2, a) + sf.potential(g, u1 | u2, a)
         rhs = sf.potential(g, u1, a) + sf.potential(g, u2, a)
         assert lhs <= rhs
+
+
+@st.composite
+def graphs_and_params(draw):
+    n = draw(st.integers(0, 9))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    a = Fraction(draw(st.integers(1, 16)), draw(st.integers(1, 4)))
+    # b's own denominator makes the scaled game's copies an lcm with a's
+    b = Fraction(draw(st.integers(-12, 6)), draw(st.integers(1, 5)))
+    assume(2 * a + b >= 1)
+    return sf.Graph(n, edges), a, b
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(graphs_and_params())
+def test_is_sparse_matches_brute_force_property(case):
+    g, a, b = case
+    bounds = [b]
+    if g.n >= 2:
+        # verdicts turn where b meets the maximum; a game that rounded b to
+        # a's denominator would misjudge some of these
+        top = -sf.brute_sparse(g, a, b).min_potential
+        bounds += [top] + [top + Fraction(k, d) for k in (-1, 1) for d in range(1, 6)]
+    for b in bounds:
+        if 2 * a + b < 1:
+            continue
+        fast = sf.is_sparse(g, sf.SparsityParams(a, b))
+        slow = sf.brute_sparse(g, a, b)
+        assert fast.sparse == slow.sparse
+        assert fast.max_violation == slow.max_violation
+        assert fast.min_potential == slow.min_potential
+        if g.n >= 2:
+            w = fast.witness
+            assert len(w) >= 2
+            assert g.induced_edge_count(w.ids) - a * len(w) == -slow.min_potential
+
+
+def test_decision_only_callers_never_compute_the_maximum(monkeypatch):
+    calls = []
+    exact = sparsity.max_violation
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(sparsity, "max_violation", spy)
+    rng = random.Random(4)
+    # one host per regime of the decomposition, either side of n = 40
+    for m, n in ((Fraction(3, 2), 30), (Fraction(19, 10), 45), (Fraction(5, 2), 35),
+                 (Fraction(20, 7), 45), (Fraction(7), 30)):
+        g = random_sparse_graph(n, m, rng)
+        assert sf.verify_decomposition(sf.decompose_ksw(g, m))
+    assert calls == []
+    for g in (random_sparse_graph(30, 2, rng), random_sparse_graph(50, 2, rng)):
+        cert = sf.is_sparse(g, sf.SparsityParams(Fraction(5, 2), -1))
+        assert cert.sparse and calls == []
+        witness = cert.witness
+        assert len(calls) == 1
+        value = g.induced_edge_count(witness.ids) - Fraction(5, 2) * len(witness)
+        assert (cert.witness, cert.max_violation, cert.min_potential) == (witness, value + 1, -value)
+        assert len(calls) == 1
+        calls.clear()
