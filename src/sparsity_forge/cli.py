@@ -48,8 +48,8 @@ def _read_graphs(args) -> list[Graph]:
         try:
             return [parse_edgelist(data.decode("ascii"))]
         except UnicodeDecodeError as exc:
-            # the offending byte is no line break, so it ends the last line counted
-            line = len(data[: exc.start + 1].splitlines())
+            # lines break as in parse_edgelist; the offending byte ends the last one
+            line = len((data[: exc.start].decode("ascii") + "?").splitlines())
             raise GraphFormatError(
                 f"non-ASCII byte {data[exc.start]:#04x}", exc.start, line=line
             ) from None

@@ -16,6 +16,7 @@ complete graphs glued at a vertex, and a ring of near-complete blocks.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -327,47 +328,63 @@ def write_graph6(g: Graph) -> str:
 # plain edge-list text format
 # ---------------------------------------------------------------------------
 
+_TOKEN = re.compile(r"\S+")
+_HEADER = re.compile(r"\s*n *=[ \t]*")  # up to the vertex count of "n = <count>"
+
 
 def parse_edgelist(text: str) -> Graph:
     """Parse lines of "u v" pairs; an optional first line "n = <count>".
 
     Vertex count defaults to the largest index + 1.  Duplicate edges,
-    self-loops, and non-integer tokens are rejected.
+    self-loops, and non-integer tokens are rejected.  Errors carry the
+    1-based line and the offset in ``text`` of the offending token (the byte
+    offset, for ASCII input).
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
     declared_n = None
-    start = 0
-    if lines and lines[0].replace(" ", "").startswith("n="):
-        rhs = lines[0].split("=", 1)[1].strip()
-        if not rhs.isdigit():
-            raise GraphFormatError(f"invalid vertex count {rhs!r} in header")
-        declared_n = int(rhs)
-        start = 1
+    first = True
     pairs = []
     seen = set()
     max_v = -1
-    for ln in lines[start:]:
-        tokens = ln.split()
+    start = 0  # offset of the current line in ``text``
+    for lineno, raw in enumerate(text.splitlines(keepends=True), 1):
+        at = start
+        start += len(raw)
+        tokens = [(at + m.start(), m.group()) for m in _TOKEN.finditer(raw)]
+        if not tokens:
+            continue
+        header = _HEADER.match(raw) if first else None
+        first = False
+        if header:
+            rhs = raw[header.end() :].strip()
+            if not rhs.isdigit():
+                raise GraphFormatError(
+                    f"invalid vertex count {rhs!r} in header", at + header.end(), line=lineno
+                )
+            declared_n = int(rhs)
+            continue
         if len(tokens) != 2:
-            raise GraphFormatError(f"expected 'u v', got {ln!r}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise GraphFormatError(f"non-integer token in line {ln!r}") from None
-        if u < 0 or v < 0:
-            raise GraphFormatError(f"negative vertex in line {ln!r}")
+            raise GraphFormatError(f"expected 'u v', got {raw.strip()!r}", tokens[0][0], line=lineno)
+        ends = []
+        for pos, tok in tokens:
+            try:
+                w = int(tok)
+            except ValueError:
+                raise GraphFormatError(f"non-integer token {tok!r}", pos, line=lineno) from None
+            if w < 0:
+                raise GraphFormatError(f"negative vertex {w}", pos, line=lineno)
+            if declared_n is not None and w >= declared_n:
+                raise GraphFormatError(f"vertex {w} exceeds declared n={declared_n}", pos, line=lineno)
+            ends.append(w)
+        u, v = ends
         if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u}")
+            raise GraphFormatError(f"self-loop at vertex {u}", tokens[0][0], line=lineno)
         key = (u, v) if u < v else (v, u)
         if key in seen:
-            raise GraphFormatError(f"duplicate edge {key}")
+            raise GraphFormatError(f"duplicate edge {key}", tokens[0][0], line=lineno)
         seen.add(key)
         pairs.append(key)
         max_v = max(max_v, u, v)
     n = declared_n if declared_n is not None else max_v + 1
-    if max_v >= n:
-        raise GraphFormatError(f"vertex {max_v} exceeds declared n={n}")
     return Graph(n, pairs)
 
 

@@ -11,14 +11,15 @@ which returns None when the edge fits and otherwise the members spanned by
 the unique minimal tight vertex set through u and v (minimal tight sets
 through a fixed pair are closed under intersection).  For b <= 0 that set is
 the region a refused pebble gather reaches from {u, v} (Lee & Streinu); only
-b > 0 falls back to a forced min-cut.  ``insert(eid, u, v)`` follows the same
-convention: None when it places the edge, otherwise the circuit that refused
-it.
+b > 0 falls back to a forced min-cut.  The (1, -1) engine is a rooted
+forest whose circuit is the forest path, found in O(depth) by walking the
+root paths of u and v; linking two trees re-roots one of them.
+``insert(eid, u, v)`` follows the same convention: None when it places the
+edge, otherwise the circuit that refused it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import MatroidRegimeError
@@ -135,23 +136,53 @@ def find_tight_components(o: CountMatroidOracle, s: EdgeSet) -> list[VertexSet]:
 
 
 class ForestEngine:
-    """(1, -1) incremental oracle: adjacency forest with path queries."""
+    """(1, -1) incremental oracle: a rooted spanning forest of the members.
+
+    Each vertex keeps its parent and the id of the edge to it (-1 at a
+    root), so ``path(u, v)`` walks two root paths in O(depth) instead of
+    searching u's whole tree.  ``add`` re-roots u's tree at u by reversing
+    the parent pointers on u's root path and hangs u below v; ``delete``
+    cuts the child's parent pointer.  ``adj`` mirrors the members as an
+    adjacency map (nbr -> eid) for callers that scan neighbourhoods.
+    """
 
     def __init__(self, host: Graph, ids=()):
         self.host = host
-        self.adj: list[dict[int, int]] = [dict() for _ in range(host.n)]  # nbr -> eid
+        n = host.n
+        self.adj: list[dict[int, int]] = [dict() for _ in range(n)]  # nbr -> eid
+        self._parent = [-1] * n
+        self._up_eid = [-1] * n  # id of the edge to the parent
+        # timestamped ancestor marks: no per-query allocation
+        self._mark = [0] * n
+        self._stamp = 0
         for eid in ids:
             self.add(eid)
 
     def insert(self, eid: int, u: int, v: int) -> list[int] | None:
         path = self.path(u, v)
         if path is None:
-            self.add(eid)
+            self._link(eid, u, v)
         return path
 
     def add(self, eid: int) -> None:
-        """Add a host edge without the cycle check; the caller vouches for it."""
+        """Add a host edge between two trees; ValueError if it closes a cycle."""
         u, v = self.host.edges[eid]
+        if self.path(u, v) is not None:
+            raise ValueError(f"edge {eid} = ({u}, {v}) would close a forest cycle")
+        self._link(eid, u, v)
+
+    def _link(self, eid: int, u: int, v: int) -> None:
+        """Join the trees of u and v, which must differ, by edge eid."""
+        parent, up_eid = self._parent, self._up_eid
+        # re-root at u: reverse every parent pointer on u's root path
+        child, child_eid = -1, -1
+        x = u
+        while x >= 0:
+            nxt, nxt_eid = parent[x], up_eid[x]
+            parent[x], up_eid[x] = child, child_eid
+            child, child_eid = x, nxt_eid
+            x = nxt
+        parent[u], up_eid[u] = v, eid
         self.adj[u][v] = eid
         self.adj[v][u] = eid
 
@@ -159,6 +190,8 @@ class ForestEngine:
         u, v = self.host.edges[eid]
         del self.adj[u][v]
         del self.adj[v][u]
+        child = u if self._up_eid[u] == eid else v
+        self._parent[child] = self._up_eid[child] = -1
 
     def circuit(self, u: int, v: int) -> list[int] | None:
         return self.path(u, v)
@@ -168,26 +201,27 @@ class ForestEngine:
 
     def path(self, u: int, v: int) -> list[int] | None:
         """Edge ids along the forest path u..v from the u end; None if disconnected."""
-        if u == v:
-            return []
-        prev: dict[int, tuple[int, int]] = {u: (-1, -1)}
-        dq = deque([u])
-        while dq:
-            x = dq.popleft()
-            for y, eid in self.adj[x].items():
-                if y in prev:
-                    continue
-                prev[y] = (x, eid)
-                if y == v:
-                    path = []
-                    while y != u:
-                        x0, e0 = prev[y]
-                        path.append(e0)
-                        y = x0
-                    path.reverse()
-                    return path
-                dq.append(y)
-        return None
+        parent, up_eid, mark = self._parent, self._up_eid, self._mark
+        self._stamp += 1
+        stamp = self._stamp
+        x = u
+        while x >= 0:
+            mark[x] = stamp
+            x = parent[x]
+        tail: list[int] = []  # edges from v up to the meeting vertex
+        y = v
+        while mark[y] != stamp:
+            if parent[y] < 0:
+                return None
+            tail.append(up_eid[y])
+            y = parent[y]
+        head: list[int] = []  # edges from u up to the meeting vertex
+        x = u
+        while x != y:
+            head.append(up_eid[x])
+            x = parent[x]
+        head.extend(reversed(tail))
+        return head
 
 
 class PebbleCountEngine:

@@ -90,6 +90,23 @@ def test_non_ascii_edgelist_file_names_the_byte(capsys, tmp_path):
     assert err == "error: non-ASCII byte 0xff (line 4, at byte offset 18)\n"
 
 
+def test_edgelist_errors_name_the_line_and_byte(capsys, monkeypatch):
+    cases = [
+        (b"0 1\n1 x\n", "non-integer token 'x' (line 2, at byte offset 6)"),
+        (b"n = x\n0 1\n", "invalid vertex count 'x' in header (line 1, at byte offset 4)"),
+        (b"0 1\r\n\r\n 1 0\r\n", "duplicate edge (0, 1) (line 3, at byte offset 8)"),
+        (b"0 1\n2 2\n", "self-loop at vertex 2 (line 2, at byte offset 4)"),
+        (b"0 1\n1 -2\n", "negative vertex -2 (line 2, at byte offset 6)"),
+        (b"\nn = 3\n0 1\n1 3\n", "vertex 3 exceeds declared n=3 (line 4, at byte offset 13)"),
+        (b"0 1\n0 1 2\n", "expected 'u v', got '0 1 2' (line 2, at byte offset 4)"),
+    ]
+    for data, message in cases:
+        code, out, err = run_cli(
+            capsys, ["check", "--a", "1", "--b", "0", "--format", "edgelist"], data, monkeypatch
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_invalid_utf8_graph6_line_names_the_byte(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["check", "--a", "1", "--b", "-1"], b"Bw\n\xff\n", monkeypatch)
     assert code == 2 and out == ""

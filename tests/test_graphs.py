@@ -155,6 +155,17 @@ def test_edgelist_errors():
         sf.parse_edgelist("0 x")
 
 
+@settings(max_examples=300, derandomize=True)
+@given(st.text(alphabet="0123 \t\r\n=nx-", max_size=40))
+def test_edgelist_errors_point_into_their_line(text):
+    try:
+        sf.parse_edgelist(text)
+    except GraphFormatError as exc:
+        lines = text.splitlines(keepends=True)
+        start = sum(len(ln) for ln in lines[: exc.line - 1])
+        assert start <= exc.offset <= start + len(lines[exc.line - 1].rstrip("\r\n"))
+
+
 def test_edgelist_header_and_roundtrip():
     g = sf.parse_edgelist("n = 5\n0 1\n1 2")
     assert g.n == 5 and g.e == 2

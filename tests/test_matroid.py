@@ -1,12 +1,15 @@
 """Count-matroid oracle: independence, greedy rank, tight components, axioms."""
 
+from collections import deque
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsity_forge as sf
 from sparsity_forge.errors import MatroidRegimeError
-from sparsity_forge.matroid import engine_for
+from sparsity_forge.matroid import ForestEngine, engine_for
 
 from conftest import random_graph
 
@@ -137,6 +140,105 @@ def test_engine_circuit_is_none_exactly_when_insert_succeeds(rng, a, b, engine):
                 gone = rng.choice(members)
                 eng.delete(gone)
                 members.remove(gone)
+
+
+def test_forest_add_refuses_a_cycle_and_stays_usable():
+    k4 = sf.complete_graph(4)
+    eid = k4.edge_index
+    forest = ForestEngine(k4, [eid[0, 1], eid[1, 2]])
+    with pytest.raises(ValueError, match="cycle"):
+        forest.add(eid[0, 2])
+    with pytest.raises(ValueError, match="cycle"):
+        forest.add(eid[0, 1])  # already a member
+    assert forest.ids() == {eid[0, 1], eid[1, 2]}
+    assert forest.path(2, 0) == [eid[1, 2], eid[0, 1]]
+    assert forest.insert(eid[2, 3], 2, 3) is None
+    forest.delete(eid[1, 2])
+    forest.add(eid[0, 2])
+    assert forest.path(3, 1) == [eid[2, 3], eid[0, 2], eid[0, 1]]
+
+
+def _bfs_path(adj, u, v):
+    """Reference: edge ids of the u..v path in a forest given as nbr -> eid maps."""
+    prev = {u: None}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        for y, e in adj[x].items():
+            if y not in prev:
+                prev[y] = (x, e)
+                queue.append(y)
+    if v not in prev:
+        return None
+    path = []
+    while v != u:
+        v, e = prev[v]
+        path.append(e)
+    return path[::-1]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_rooted_forest_matches_bfs_reference(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    host = sf.complete_graph(n)
+    forest = ForestEngine(host)
+    ref = [dict() for _ in range(n)]  # nbr -> eid, the reference forest
+    members: set[int] = set()
+
+    def link(e):
+        u, v = host.edges[e]
+        ref[u][v] = ref[v][u] = e
+        members.add(e)
+
+    def cut(e):
+        u, v = host.edges[e]
+        del ref[u][v], ref[v][u]
+        members.remove(e)
+
+    for _ in range(data.draw(st.integers(0, 30), label="steps")):
+        outside = [e for e in range(host.e) if e not in members]
+        op = data.draw(st.sampled_from(["insert", "add", "delete", "swap"]), label="op")
+        if op == "delete" and members:
+            e = data.draw(st.sampled_from(sorted(members)))
+            forest.delete(e)
+            cut(e)
+        elif outside:
+            e = data.draw(st.sampled_from(outside))
+            u, v = host.edges[e]
+            expected = _bfs_path(ref, u, v)
+            if op == "insert":
+                assert forest.insert(e, u, v) == expected
+                if expected is None:
+                    link(e)
+            elif expected is None:
+                forest.add(e)
+                link(e)
+            elif op == "add":
+                with pytest.raises(ValueError):
+                    forest.add(e)
+            else:  # refine's swap: cut an edge of the cycle e would close, then link e
+                out = data.draw(st.sampled_from(expected))
+                forest.delete(out)
+                cut(out)
+                forest.add(e)
+                link(e)
+        assert forest.ids() == members
+        assert forest.adj == ref
+        for u in range(n):
+            for v in range(n):
+                assert forest.path(u, v) == _bfs_path(ref, u, v)
+        # parent pointers: one per member edge, each along its edge, no cycle
+        ups = [forest._up_eid[x] for x in range(n) if forest._parent[x] >= 0]
+        assert sorted(ups) == sorted(members)
+        for x in range(n):
+            if forest._parent[x] >= 0:
+                assert set(host.edges[forest._up_eid[x]]) == {x, forest._parent[x]}
+            steps = 0
+            while x >= 0:
+                x = forest._parent[x]
+                steps += 1
+                assert steps <= n
 
 
 def test_tight_components_of_forest():

@@ -1,8 +1,11 @@
 """Matroid-union partitioning: successes, deficiencies, guarantees."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsity_forge as sf
 from sparsity_forge.errors import NotSparseError
@@ -163,6 +166,32 @@ def test_partition_agrees_with_brute_force_small(rng):
                 w1, w2 = witness
                 assert sf.is_independent(sf.make_oracle(g, a1, b1), w1)
                 assert sf.is_independent(sf.make_oracle(g, a2, b2), w2)
+
+
+# integral sides with 2a + b >= 1: forests, pseudoforests, two b < 0 sides at a = 2
+# and one b > 0 side, so that the min-cut engine runs too
+_SIDES = [(1, -1), (1, 0), (2, -3), (2, -2), (1, 1)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_partition_success_matches_brute_force_property(data):
+    n = data.draw(st.sampled_from([5, 6, 4, 7, 8, 3, 2]), label="n")  # 12 edges are dense at 5, 6
+    all_pairs = list(combinations(range(n), 2))
+    most = min(12, len(all_pairs))
+    # drawn down from the densest graph, where deficiencies live
+    e = most - data.draw(st.integers(0, most // 2), label="missing edges")
+    g = sf.Graph(n, data.draw(st.permutations(all_pairs), label="pairs")[:e])
+    a1, b1 = data.draw(st.sampled_from(_SIDES), label="side 1")
+    a2, b2 = data.draw(st.sampled_from(_SIDES), label="side 2")
+    res = sf.matroid_union_partition(g, sf.make_oracle(g, a1, b1), sf.make_oracle(g, a2, b2))
+    exists, _ = sf.brute_partition_exists(g, a1, b1, a2, b2)
+    assert res.success == exists
+    if res.success:
+        assert res.e1.ids | res.e2.ids == frozenset(range(g.e))
+        assert not res.e1.ids & res.e2.ids
+        assert sf.brute_sparse(g.edge_subgraph(res.e1.ids), a1, b1).sparse
+        assert sf.brute_sparse(g.edge_subgraph(res.e2.ids), a2, b2).sparse
 
 
 def test_partition_json_shapes():
