@@ -21,6 +21,7 @@ edge, otherwise the circuit that refused it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import MatroidRegimeError
 from .graphs import EdgeSet, Graph, UnionFind, VertexSet
@@ -40,7 +41,7 @@ class CountMatroidOracle:
     validity_class: str
     _cache: dict[frozenset[int], bool] = field(default_factory=dict, repr=False)
 
-    @property
+    @cached_property
     def params(self) -> SparsityParams:
         return SparsityParams(self.a, self.b)
 

@@ -110,17 +110,19 @@ class PebbleGame:
         self._drop_arc(x, y)
         self.out[y][x] = self.out[y].get(x, 0) + 1
 
-    def _gather(self, u: int, v: int) -> bool:
-        need = self.l + 1
-        while self.pebbles[u] + self.pebbles[v] < need:
+    def _gather(self, u: int, v: int, stop_at: int) -> int:
+        # gather_max's loop; insert calls it directly, so that timing or
+        # tracing gather_max does not also count every insert
+        pebbles = self.pebbles
+        while pebbles[u] + pebbles[v] < stop_at:
             if self._collect_one(u, (u, v)):
                 continue
             su = self._seen_stamp
             if self._collect_one(v, (u, v)):
                 continue
             self.last_region = self._region_from(su, self._seen_stamp)
-            return False
-        return True
+            break
+        return pebbles[u] + pebbles[v]
 
     def gather_max(self, u: int, v: int, stop_at: int | None = None) -> int:
         """Largest pebble count collectible onto {u, v}; equals the minimum of
@@ -131,17 +133,8 @@ class PebbleGame:
         not recorded.  Otherwise it runs to a double stall and ``last_region``
         holds a reachability-closed set attaining the returned minimum.
         """
-        while True:
-            have = self.pebbles[u] + self.pebbles[v]
-            if stop_at is not None and have >= stop_at:
-                return have
-            if self._collect_one(u, (u, v)):
-                continue
-            su = self._seen_stamp
-            if self._collect_one(v, (u, v)):
-                continue
-            self.last_region = self._region_from(su, self._seen_stamp)
-            return have
+        # {u, v} never holds more than 2k pebbles, so 2k + 1 is never reached
+        return self._gather(u, v, 2 * self.k + 1 if stop_at is None else stop_at)
 
     def _remove(self, u: int, v: int, count: int) -> None:
         for _ in range(count):
@@ -168,7 +161,7 @@ class PebbleGame:
         if u == v:
             raise ValueError("loops are never sparse here")
         for placed in range(self.copies):
-            if not self._gather(u, v):
+            if self._gather(u, v, self.l + 1) <= self.l:
                 self._remove(u, v, placed)
                 return False
             tail, head = (u, v) if self.pebbles[u] > 0 else (v, u)

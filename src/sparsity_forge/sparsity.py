@@ -14,8 +14,9 @@ scaled pebble sweep at (a, b) (Lee & Streinu): the graph is sparse exactly
 when every edge is accepted.  The certificate's numbers are exact all the
 same; they are computed the first time one is read.  A positive maximum of
 e(G[U]) - a|U| is computed by min-cut over the standard edge/vertex
-selection network; a maximum at or below zero is pinned down exactly by the
-pebble engine (see max_violation for the two strategies and when each runs).
+selection network; a maximum at or below zero is pinned down exactly by
+gathering pebbles on a game that has accepted every edge (see max_violation,
+which also states the witness conventions).
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def potential(g: Graph, vertices: VertexSet | Iterable[int], a: RationalLike) ->
     return Fraction(a) * len(ids) - g.induced_edge_count(ids)
 
 
-_DIRECT_GATHER_LIMIT = 40
+_CUT_WITNESS_LIMIT = 40
 
 
 def max_violation(
@@ -146,18 +147,24 @@ def max_violation(
     express negative maxima, every closure being at least as good as the
     empty one).  A maximum <= 0 is located exactly through the pebble engine:
     once every edge is accepted at zero slack, the maximum equals minus the
-    smallest pebble count gatherable onto an edge's endpoints, and the final
-    stalled region attains it.  Small graphs gather per edge; large graphs
-    binary-search the slack threshold instead, which costs log-many insertion
-    sweeps but no per-edge gathers.
+    smallest pebble count gatherable onto an edge's endpoints.
+
+    Witness conventions: a positive maximum returns the minimal min-cut
+    maximizer.  Up to _CUT_WITNESS_LIMIT vertices a maximum <= 0 returns the
+    region where the smallest gather stalled.  Above it, a zero maximum
+    returns the maximal min-cut maximizer, and a negative maximum -s/q
+    (a = p/q in lowest terms) the region of the first edge refused by a
+    fresh (a, -(s + 1)/q) game, or the first edge when no set beats a lone
+    edge (s = 2p - q).  Without a handed-over game, large graphs run the
+    min-cut first.
 
     Degenerate case: a single-vertex graph has no admissible U; the lone
     vertex is returned with value -a.
 
     ``_accepted`` lets is_sparse hand over its scaled game once that game has
-    accepted every edge of g; small graphs then gather on it in place of a
-    second sweep (gather counts and stalled regions do not depend on the
-    game's l or on its orientation, so the answer is the same).
+    accepted every edge of g, in place of a zero-slack sweep (gather counts
+    and stalled regions do not depend on the game's l or on its orientation,
+    so the answer is the same).
     """
     a = Fraction(a)
     if a <= 0:
@@ -169,24 +176,15 @@ def max_violation(
         return -a, VertexSet(g, [0])
     if g.e == 0:
         return -2 * a, VertexSet(g, [0, 1])
-    if g.n <= _DIRECT_GATHER_LIMIT:
-        return _max_violation_direct(g, p, q, _accepted)
-    return _max_violation_cut_descent(g, p, q)
-
-
-def _positive_max(g: Graph, p: int, q: int) -> tuple[Fraction, VertexSet]:
-    """The maximum once a zero-slack refusal has proved it positive; the
-    minimal min-cut source side is the witness convention."""
-    value, umin, _ = selection_max(g.n, g.edges, p, q)
-    if value <= 0:
-        raise AssertionError("pebble engine and min cut disagree")
-    return Fraction(value, q), VertexSet(g, umin)
-
-
-def _max_violation_direct(
-    g: Graph, p: int, q: int, game: PebbleGame | None = None
-) -> tuple[Fraction, VertexSet]:
+    large = g.n > _CUT_WITNESS_LIMIT
+    game = _accepted
     if game is None:
+        if large:
+            value, umin, umax = selection_max(g.n, g.edges, p, q)
+            if value > 0:
+                return Fraction(value, q), VertexSet(g, umin)
+            if umax:
+                return Fraction(0), VertexSet(g, umax)
         game = PebbleGame(g.n, p, 0, copies=q)
         if not all(game.insert(u, v) for u, v in g.edges):
             return _positive_max(g, p, q)
@@ -200,39 +198,28 @@ def _max_violation_direct(
             if best == 0:
                 break
     assert best is not None
-    return Fraction(-best, game.copies), VertexSet(g, region)
-
-
-def _max_violation_cut_descent(g: Graph, p: int, q: int) -> tuple[Fraction, VertexSet]:
-    value, umin, umax = selection_max(g.n, g.edges, p, q)
-    if value > 0:
-        return Fraction(value, q), VertexSet(g, umin)
-    if umax:
-        return Fraction(0), VertexSet(g, umax)
-
-    def blocked(l: int) -> list[int] | None:
-        """Region refuting (p/q, -l/q)-sparsity, or None when sparse."""
-        game = PebbleGame(g.n, p, l, copies=q)
-        for u, v in g.edges:
-            if not game.insert(u, v):
-                return game.last_region
-        return None
-
-    # strictly negative maximum; it is at least q - 2p (a single edge)
-    lo, hi = 1, 2 * p - q
-    witness: list[int] = []  # region of the last refusal, which sits at hi + 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        region = blocked(mid)
-        if region is None:
-            lo = mid
-        else:
-            witness = region
-            hi = mid - 1
-    if lo == 2 * p - q:
+    value = Fraction(-best, game.copies)
+    if not large:
+        return value, VertexSet(g, region)
+    if value == 0:
+        return value, VertexSet(g, selection_max(g.n, g.edges, p, q)[2])
+    s = best * q // game.copies  # value = -s/q
+    if s == 2 * p - q:  # no set beats a lone edge
         u, v = g.edges[0]
-        return Fraction(q - 2 * p, q), VertexSet(g, [u, v])
-    return Fraction(-lo, q), VertexSet(g, witness)
+        return value, VertexSet(g, [u, v])
+    game = PebbleGame(g.n, p, s + 1, copies=q)
+    if all(game.insert(u, v) for u, v in g.edges):
+        raise AssertionError("gather count and pebble sweep disagree")
+    return value, VertexSet(g, game.last_region)
+
+
+def _positive_max(g: Graph, p: int, q: int) -> tuple[Fraction, VertexSet]:
+    """The maximum once a zero-slack refusal has proved it positive; the
+    minimal min-cut source side is the witness convention."""
+    value, umin, _ = selection_max(g.n, g.edges, p, q)
+    if value <= 0:
+        raise AssertionError("pebble engine and min cut disagree")
+    return Fraction(value, q), VertexSet(g, umin)
 
 
 def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:

@@ -1,5 +1,5 @@
-"""Fixed-seed output digests: generation, partitions, tight components and
-decomposition stay byte-identical.
+"""Fixed-seed output digests: generation, partitions, tight components,
+decomposition, sparsity certificates and density indices stay byte-identical.
 
 The digests below were recorded once and must never be edited to make a
 change pass; a mismatch means a refactor changed a deterministic output.
@@ -14,6 +14,8 @@ import pytest
 
 import sparsity_forge as sf
 from sparsity_forge.instances import random_sparse_graph
+
+from conftest import random_graph
 
 
 def _digest(text: str) -> str:
@@ -85,3 +87,76 @@ def test_tight_components_digest():
         comps = sf.find_tight_components(o, sf.EdgeSet(g, ids))
         out.append([a, b, [c.sorted() for c in comps]])
     assert _digest(json.dumps(out)) == "6b7bc58f9a606d18"
+
+
+def _two_k4s(n: int) -> sf.Graph:
+    # two disjoint K4s, the first on the lowest and highest ids, plus isolated
+    # vertices: their potentials tie, so the witness shows which one is chosen
+    blocks = ([0, 1, n - 2, n - 1], [2, 3, 4, 5])
+    return sf.Graph(n, [(u, v) for blk in blocks for i, u in enumerate(blk) for v in blk[i + 1:]])
+
+
+def _certificates(hosts, params):
+    out = []
+    for g in hosts:
+        for a, b in params:
+            if 2 * a + b >= 1:
+                out.append(sf.is_sparse(g, sf.SparsityParams(a, b)).to_json_dict())
+    return _digest(json.dumps(out, sort_keys=True))
+
+
+# (a, b) pairs around each host's generation density: b = 0, b < 0 and b > 0,
+# with a below the density (refusals) as well as at and above it
+def _grid(a):
+    return [(a + da, b) for da in (Fraction(-1, 2), 0, Fraction(1, 3))
+            for b in (Fraction(0), Fraction(-1), Fraction(-1, 3), Fraction(1))]
+
+
+@pytest.mark.parametrize(
+    "n, a, b, seed, expected",
+    [
+        (41, Fraction(5, 2), Fraction(-1), 21, "570acd26900016c1"),
+        (60, Fraction(7, 3), Fraction(-2, 3), 22, "d4540e978242bcff"),
+        (90, Fraction(5, 2), Fraction(-1), 23, "89cd990b1573025a"),
+        (150, Fraction(11, 4), Fraction(0), 24, "246c37dd260ecd28"),
+        (300, Fraction(3, 2), Fraction(-1), 25, "83fda45412483f8d"),
+    ],
+)
+def test_large_check_certificate_digest(n, a, b, seed, expected):
+    # n > 40 certificates: every verdict path (accepted sweep, refusal at
+    # b = 0 and b < 0, and b > 0) with its witness and exact numbers
+    g = random_sparse_graph(n, a, random.Random(seed), b=b)
+    assert _certificates([g], _grid(a)) == expected
+
+
+def test_large_random_graph_certificate_digest():
+    rng = random.Random(26)
+    hosts = [random_graph(rng, n, p) for n, p in ((41, 0.1), (57, 0.05), (120, 0.03), (300, 0.01))]
+    params = [(a, b) for a in (Fraction(3, 2), Fraction(11, 6), Fraction(5, 2), Fraction(7))
+              for b in (Fraction(0), Fraction(-1), Fraction(1))]
+    assert _certificates(hosts, params) == "4febeece8e4d75ba"
+
+
+def test_large_tie_and_matching_certificate_digest():
+    # tied maxima, zero maxima (K4 at 3/2) and single-edge maxima (a matching)
+    hosts = [_two_k4s(52), _two_k4s(80)]
+    # the first refusal at the next slack, not the smallest stalled gather
+    assert sf.max_violation(hosts[0], 2)[1].sorted() == [2, 3, 4, 5]
+    params = [(Fraction(2), b) for b in (Fraction(0), Fraction(-1), Fraction(-2), Fraction(-3), Fraction(1))]
+    params += [(Fraction(3, 2), b) for b in (Fraction(0), Fraction(-1), Fraction(1))]
+    matchings = [sf.Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)]) for n in (42, 60)]
+    mparams = [(a, b) for a in (Fraction(3, 4), Fraction(5, 3), Fraction(7, 2))
+               for b in (Fraction(0), Fraction(-1, 2), Fraction(1))]
+    assert _certificates(hosts, params) == "b03bcd1c17e3a58f"
+    assert _certificates(matchings, mparams) == "5562c8b5289e8b2d"
+
+
+def test_large_density_index_digest():
+    rng = random.Random(27)
+    out = []
+    for n, p in ((41, 0.15), (64, 0.08), (100, 0.05), (200, 0.02)):
+        g = random_graph(rng, n, p)
+        out.append([str(sf.m_of(g)), str(sf.m2_of(g))])
+    for n in (52, 80):
+        out.append([str(sf.m_of(_two_k4s(n))), str(sf.m2_of(_two_k4s(n)))])
+    assert _digest(json.dumps(out)) == "4b3dfdad9bfad43b"

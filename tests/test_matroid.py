@@ -23,6 +23,8 @@ def test_make_oracle_regimes():
     assert sf.make_oracle(k4, 1, -1).validity_class == "lorea"
     assert sf.make_oracle(k4, 1, 0).validity_class == "lorea"
     assert sf.make_oracle(k4, 1, 1).validity_class == "white_whiteley"
+    o = sf.make_oracle(k4, 2, -3)  # params are built once, not per query
+    assert o.params is o.params and o.params == sf.SparsityParams(2, -3)
     with pytest.raises(MatroidRegimeError):
         sf.make_oracle(k4, 1, -3)
     with pytest.raises(MatroidRegimeError):

@@ -248,22 +248,44 @@ def test_strengthening_with_m(rng):
             assert sf.is_sparse(g, sf.SparsityParams(m, 1 - 2 * m)).sparse
 
 
-def test_max_violation_strategies_agree(rng):
-    # the small-graph gather path and the large-graph cut-plus-descent path
-    # must compute identical maxima, each with an attaining witness
-    from sparsity_forge.sparsity import _max_violation_cut_descent, _max_violation_direct
+def _brute_density(g):
+    # the largest e(U)/|U|: the a at which the maximum of e(U) - a|U| is zero
+    a = Fraction(g.e, g.n)
+    while True:
+        cert = sf.brute_sparse(g, a, 1)  # b does not move the maximum
+        if cert.min_potential >= 0:
+            return a
+        a = Fraction(g.induced_edge_count(cert.witness.ids), len(cert.witness))
 
-    for _ in range(120):
+
+def test_max_violation_strategies_agree(rng):
+    # both witness conventions of max_violation against exhaustive search,
+    # n = 2-14.  Each graph is also
+    # padded with isolated vertices to n = 41-60: that leaves the maximum in
+    # place and sends it down the large-graph witness conventions, both on a
+    # fresh call and on the game a sparse is_sparse hands over.
+    zeros = 0
+    for i in range(120):
         g = random_graph(rng, rng.randint(2, 14), rng.random())
         if g.e == 0:
             continue
-        a = Fraction(rng.randint(1, 9), rng.randint(1, 6))
-        p, q = a.numerator, a.denominator
-        v1, w1 = _max_violation_direct(g, p, q)
-        v2, w2 = _max_violation_cut_descent(g, p, q)
-        assert v1 == v2
-        for w, v in ((w1, v1), (w2, v2)):
-            assert Fraction(g.induced_edge_count(w.ids)) - a * len(w) == v
+        if i % 5 == 0:
+            a = _brute_density(g)
+        elif i % 5 == 1:  # just above it: a negative maximum, rarely a lone edge
+            a = _brute_density(g) + Fraction(1, rng.randint(2, 7))
+        else:
+            a = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+        best = -sf.brute_sparse(g, a, 1).min_potential
+        zeros += best == 0
+        for h in (g, sf.Graph(rng.randint(41, 60), g.edges)):
+            value, witness = sf.max_violation(h, a)
+            assert value == best
+            assert h.induced_edge_count(witness.ids) - a * len(witness) == best
+            # b = best is tight: a sweep accepts when best <= 0
+            cert = sf.is_sparse(h, sf.SparsityParams(a, best))
+            assert cert.sparse and cert.max_violation == 0
+            assert h.induced_edge_count(cert.witness.ids) - a * len(cert.witness) == best
+    assert zeros >= 10
 
 
 def test_potential_submodularity(rng):
