@@ -23,6 +23,8 @@ def random_sparse_graph(
     and greedily deletes every edge whose retention would break sparsity
     (equivalently: keeps each candidate iff the pebble engine accepts it),
     stopping once floor(a*n + b) edges survive.  Deterministic given the RNG.
+    A candidate inside a region that already refused one is skipped without a
+    gather: that region's slack only falls as edges are kept.
     """
     a, b = Fraction(a), Fraction(b)
     if a <= 0 or b > 0 or 2 * a + b < 1:
@@ -39,9 +41,20 @@ def random_sparse_graph(
     rng.shuffle(order)
     game = PebbleGame.scaled(n, a, b)
     kept: list[tuple[int, int]] = []
+    # Edges are only added, so a region that refused a pair stays blocked
+    # for every later pair inside it.  blocked[w] has bit i set when w lies
+    # in the i-th refused region; a shared bit skips the pebble gather.
+    blocked = [0] * n
+    bit = 1
     for u, v in order:
+        if blocked[u] & blocked[v]:
+            continue
         if game.insert(u, v):
             kept.append((u, v))
             if len(kept) >= target:
                 break
+        else:
+            for w in game.last_region:
+                blocked[w] |= bit
+            bit <<= 1
     return Graph(n, kept)

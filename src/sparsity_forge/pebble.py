@@ -14,6 +14,12 @@ loops never are.  Rational bounds scale to integers: a simple graph is
 game built by ``scaled`` stands for every edge with ``copies`` parallel
 arcs, placed all or none.  Parallel copies are interchangeable, so deleting
 {u, v} drops any u-v arcs and refunds their tails' pebbles.
+
+The game is a capacitated augmenting-path search (Gabow & Westermann,
+"Forests, frames, and games"): an arc's multiplicity is its capacity, so
+one path found by a DFS moves as many pebbles as its bottleneck
+multiplicity allows.  An insert gathers l + copies pebbles in one go and
+only then places its copies, so a refused insert places nothing.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ class PebbleGame:
         self._mark = [0] * n
         self._prev = [0] * n
         self._stamp = 0
-        self._seen_stamp = 0
 
     @classmethod
     def scaled(cls, n: int, a: Fraction | int, b: Fraction | int) -> "PebbleGame":
@@ -54,11 +59,13 @@ class PebbleGame:
 
     # -- internals ----------------------------------------------------------
 
-    def _collect_one(self, target: int, exclude: tuple[int, int]) -> bool:
-        """Move one pebble onto ``target`` by reversing a directed path.
+    def _collect(self, target: int, u: int, v: int, want: int) -> int:
+        """Move up to ``want`` pebbles onto ``target`` along one directed path.
 
-        Pebbles on ``exclude`` vertices are off limits (already counted).
-        On failure the visit stamps identify the region for later assembly.
+        The DFS stops at the first vertex other than u and v holding a
+        pebble; the path then carries min(want, that vertex's pebbles, its
+        smallest arc multiplicity) pebbles, the count returned.  On a stall
+        (0) the current stamp marks the region reached from ``target``.
         """
         self._stamp += 1
         stamp = self._stamp
@@ -76,53 +83,64 @@ class PebbleGame:
                     continue
                 mark[y] = stamp
                 prev[y] = x
-                if pebbles[y] > 0 and y != exclude[0] and y != exclude[1]:
+                if pebbles[y] > 0 and y != u and y != v:
                     found = y
                     stack.clear()
                     break
                 stack.append(y)
-        self._seen_stamp = stamp
         if found < 0:
-            return False
+            return 0
+        amount = pebbles[found]
+        if amount > want:
+            amount = want
+        y = found
+        while amount > 1 and y != target:  # one pebble fits every arc
+            x = prev[y]
+            if out[x][y] < amount:
+                amount = out[x][y]
+            y = x
         y = found
         while y != target:
             x = prev[y]
-            self._reverse_arc(x, y)
+            arcs = out[x]
+            left = arcs[y] - amount
+            if left:
+                arcs[y] = left
+            else:
+                del arcs[y]
+            back = out[y]
+            back[x] = back.get(x, 0) + amount
             y = x
-        pebbles[found] -= 1
-        pebbles[target] += 1
-        return True
-
-    def _region_from(self, stamp_a: int, stamp_b: int) -> list[int]:
-        mark = self._mark
-        return sorted(
-            v for v in range(self.n) if mark[v] == stamp_a or mark[v] == stamp_b
-        )
-
-    def _drop_arc(self, x: int, y: int) -> None:
-        cnt = self.out[x][y]
-        if cnt == 1:
-            del self.out[x][y]
-        else:
-            self.out[x][y] = cnt - 1
-
-    def _reverse_arc(self, x: int, y: int) -> None:
-        self._drop_arc(x, y)
-        self.out[y][x] = self.out[y].get(x, 0) + 1
+        pebbles[found] -= amount
+        pebbles[target] += amount
+        return amount
 
     def _gather(self, u: int, v: int, stop_at: int) -> int:
-        # gather_max's loop; insert calls it directly, so that timing or
-        # tracing gather_max does not also count every insert
+        """Collect pebbles onto {u, v} until they hold ``stop_at`` or both
+        ends stall; returns their count.
+
+        Each path moves its bottleneck: the fewest of the pebbles still
+        wanted, the pebbles at its far end and its arcs' multiplicities.  On
+        a double stall ``last_region`` holds everything reached from u or v.
+        This is the loop behind gather_max; insert calls it directly, so that
+        timing or tracing gather_max does not also count every insert.
+        """
         pebbles = self.pebbles
         while pebbles[u] + pebbles[v] < stop_at:
-            if self._collect_one(u, (u, v)):
+            want = stop_at - pebbles[u] - pebbles[v]
+            if self._collect(u, u, v, want):
                 continue
-            su = self._seen_stamp
-            if self._collect_one(v, (u, v)):
+            stamp_u = self._stamp
+            if self._collect(v, u, v, want):
                 continue
-            self.last_region = self._region_from(su, self._seen_stamp)
+            mark, stamp_v = self._mark, self._stamp
+            self.last_region = [
+                w for w in range(self.n) if mark[w] == stamp_u or mark[w] == stamp_v
+            ]
             break
         return pebbles[u] + pebbles[v]
+
+    # -- public surface -----------------------------------------------------
 
     def gather_max(self, u: int, v: int, stop_at: int | None = None) -> int:
         """Largest pebble count collectible onto {u, v}; equals the minimum of
@@ -131,18 +149,11 @@ class PebbleGame:
         When the count reaches ``stop_at`` the gather aborts early (callers
         scanning for a minimum cannot improve on it anyway) and the region is
         not recorded.  Otherwise it runs to a double stall and ``last_region``
-        holds a reachability-closed set attaining the returned minimum.
+        holds the smallest vertex set attaining the returned minimum: the
+        vertices reachable from {u, v}, which no orientation changes.
         """
         # {u, v} never holds more than 2k pebbles, so 2k + 1 is never reached
         return self._gather(u, v, 2 * self.k + 1 if stop_at is None else stop_at)
-
-    def _remove(self, u: int, v: int, count: int) -> None:
-        for _ in range(count):
-            tail, head = (u, v) if v in self.out[u] else (v, u)
-            self._drop_arc(tail, head)
-            self.pebbles[tail] += 1
-
-    # -- public surface -----------------------------------------------------
 
     def insertable(self, u: int, v: int) -> bool:
         """True iff accepting {u, v} keeps the edge set (k, l)-sparse.
@@ -157,18 +168,37 @@ class PebbleGame:
 
     def insert(self, u: int, v: int) -> bool:
         """Accept {u, v} as ``copies`` parallel arcs, all or none, if the edge
-        set stays sparse.  On False, ``last_region`` holds the blocked set."""
+        set stays sparse.
+
+        One gather collects l + copies pebbles onto {u, v}, which is what
+        placing the copies one at a time with l + 1 pebbles each demands of
+        every vertex set through u and v.  A refused insert places nothing,
+        and ``last_region`` holds the blocked set.
+        """
         if u == v:
             raise ValueError("loops are never sparse here")
-        for placed in range(self.copies):
-            if self._gather(u, v, self.l + 1) <= self.l:
-                self._remove(u, v, placed)
-                return False
-            tail, head = (u, v) if self.pebbles[u] > 0 else (v, u)
-            self.pebbles[tail] -= 1
-            self.out[tail][head] = self.out[tail].get(head, 0) + 1
+        pebbles, out, copies = self.pebbles, self.out, self.copies
+        if self._gather(u, v, self.l + copies) < self.l + copies:
+            return False
+        from_u = pebbles[u] if pebbles[u] < copies else copies
+        if from_u:
+            pebbles[u] -= from_u
+            out[u][v] = out[u].get(v, 0) + from_u
+        if from_u < copies:
+            pebbles[v] -= copies - from_u
+            out[v][u] = out[v].get(u, 0) + copies - from_u
         return True
 
     def delete(self, u: int, v: int) -> None:
         """Remove an accepted edge {u, v}: any ``copies`` arcs between u and v."""
-        self._remove(u, v, self.copies)
+        left = self.copies
+        for tail, head in ((u, v), (v, u)):
+            arcs = self.out[tail]
+            dropped = min(left, arcs.get(head, 0))
+            if dropped:
+                if arcs[head] == dropped:
+                    del arcs[head]
+                else:
+                    arcs[head] -= dropped
+                self.pebbles[tail] += dropped
+                left -= dropped

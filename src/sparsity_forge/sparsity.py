@@ -42,12 +42,19 @@ class SparsityParams:
     b: Fraction
 
     def __init__(self, a: RationalLike, b: RationalLike):
-        a, b = Fraction(a), Fraction(b)
-        if a <= 0:
+        # built several times per decision: skip re-wrapping Fractions and
+        # compare 2a + b < 1 by integer cross-multiplication
+        if not isinstance(a, Fraction):
+            a = Fraction(a)
+        if not isinstance(b, Fraction):
+            b = Fraction(b)
+        if a.numerator <= 0:
             raise ValueError(f"sparsity coefficient a must be positive, got {a}")
+        ad, bd = a.denominator, b.denominator
+        pathological = 2 * a.numerator * bd + b.numerator * ad < ad * bd
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_pathological", 2 * a + b < 1)
+        object.__setattr__(self, "_pathological", pathological)
 
     @property
     def pathological(self) -> bool:

@@ -29,6 +29,11 @@ def _digest(text: str) -> str:
         (45, Fraction(7, 3), Fraction(-1), 2, "f7aa10fee6fdb76a"),
         (60, Fraction(5, 2), Fraction(-2, 3), 3, "62f6d5089558ad23"),
         (25, Fraction(3, 2), Fraction(-2), 4, "f96c7c959b2f15d1"),
+        # scaled games with 7 to 10 copies per edge
+        (120, Fraction(20, 7), Fraction(0), 31, "8d04e57d6ac4616f"),
+        (90, Fraction(19, 10), Fraction(-1, 10), 32, "5775e1391bb207f2"),
+        (70, Fraction(13, 9), Fraction(-2, 9), 33, "2e37e6e3a9839413"),
+        (100, Fraction(7, 10), Fraction(-3, 10), 34, "7ee9ceaa16f9bd24"),
     ],
 )
 def test_generation_digest(n, a, b, seed, expected):

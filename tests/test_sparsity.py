@@ -106,6 +106,13 @@ def test_is_tight_examples():
 
 def test_pathological_params_rejected():
     assert sf.SparsityParams(1, -2).pathological
+    # the integer cross-multiplication agrees with Fraction arithmetic,
+    # including at the boundary 2a + b = 1
+    assert not sf.SparsityParams(Fraction(7, 10), Fraction(-2, 5)).pathological
+    assert sf.SparsityParams(Fraction(7, 10), Fraction(-41, 100)).pathological
+    for a in (Fraction(p, q) for q in range(1, 8) for p in range(1, 3 * q)):
+        for b in (Fraction(p, q) for q in range(1, 8) for p in range(-6 * q, 2 * q)):
+            assert sf.SparsityParams(a, b).pathological == (2 * a + b < 1)
     with pytest.raises(PathologicalParametersError):
         sf.is_sparse(sf.complete_graph(3), sf.SparsityParams(1, -2))
 
