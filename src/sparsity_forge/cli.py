@@ -18,7 +18,7 @@ import sys
 import time
 
 from .decompose import decompose_ksw, verify_decomposition
-from .errors import GraphFormatError, NotSparseError, SparsityForgeError
+from .errors import GraphFormatError, NotSparseError, SparsityForgeError, VerificationError
 from .graphs import (
     Graph,
     gen_counterexample_disconnected,
@@ -174,12 +174,14 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         cert = is_sparse(g, SparsityParams(m, 0))
         t1 = time.perf_counter()
-        assert cert.sparse
+        if not cert.sparse:
+            raise VerificationError(f"generated host n={n} is not ({args.m}, 0)-sparse")
         d = decompose_ksw(g, m)
         t2 = time.perf_counter()
         ok = bool(verify_decomposition(d))
         t3 = time.perf_counter()
-        assert ok
+        if not ok:
+            raise VerificationError(f"decomposition of host n={n} failed verify_decomposition")
         print(
             f"{n:>6} {g.e:>7} {digest:>12} {(t1 - t0) * 1e3:>9.1f} "
             f"{(t2 - t1) * 1e3:>9.1f} {(t3 - t2) * 1e3:>9.1f} "

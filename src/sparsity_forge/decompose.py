@@ -1,20 +1,22 @@
 """The forest-plus-sparse decomposition pipeline.
 
 Given m > 1 and an (m, 0)-sparse graph, produce a partition into a forest F
-and a remainder that is (m, 1-2m)-sparse.  Writing m = k + eps:
+and a remainder that is (m, 1-2m)-sparse.  Every m takes one route: write
+m = k + eps, split the host into a forest and a (k, 1-s)-sparse rest with
+s = forest_slack(k, eps) (partition_forest_plus, which also gates (m, 0)),
+then refine the rest where its (k, 1-s) bound is too weak:
 
-* 1 < m < 9/5: the host is (2, -2)-sparse, so it splits into two forests and
-  the second forest is already good;
-* 9/5 <= m < 2: the host is (2, -1)-sparse; split into forest + pseudoforest
-  and swap the remainder triangle-free, which suffices for these m;
-* m >= 2: split into forest + (k, 1-s)-sparse with s = forest_slack(k, eps);
-  the remainder is already strong enough except in one window of eps
+* k = 1, eps < 4/5 (m < 9/5): s = 2, so the rest is a second forest, which
+  is already good;
+* k = 1, eps >= 4/5: s = 1, so the rest is a pseudoforest; it is swapped
+  triangle-free (eliminate_triangles), which suffices for these m;
+* k >= 2: the rest is already strong enough except in one window of eps
   (case D2 below), where the low-potential (2k+1)-sets are repaired by
   brooks_refine.
 
-The case analysis is a routing device only: every outcome is re-checked
-against the exact engine, and a failed final check raises instead of
-returning a bad decomposition.
+The case analysis is a routing device only: every outcome is re-checked by
+verify_decomposition, and a failed check raises instead of returning a bad
+decomposition.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotSparseError, TheoremViolationError
+from .errors import TheoremViolationError
 from .graphs import EdgeSet, Graph, VertexSet
-from .partition import partition_forest_plus, partition_sparse
+from .partition import partition_forest_plus
 from .rationals import format_rational
 from .refine import ForestPartition, _acyclic, brooks_refine, eliminate_triangles
 from .sparsity import SparsityParams, forest_slack, is_sparse
@@ -59,7 +61,9 @@ class Decomposition:
         return out
 
 
-def _large_m_case(k: int, eps: Fraction) -> str:
+def _case(k: int, eps: Fraction) -> str:
+    if k == 1:
+        return CASE_SMALL_TWO_FORESTS if eps < Fraction(4, 5) else CASE_SMALL_TRIANGLE_FREE
     if eps < Fraction(3, 2 * k + 2):
         return CASE_A
     if eps < Fraction(1, 2):
@@ -77,64 +81,28 @@ def decompose_ksw(g: Graph, m: Fraction | int) -> Decomposition:
     """Partition an (m, 0)-sparse graph into a forest and an (m, 1-2m)-sparse rest.
 
     Raises NotSparseError (with certificate) when the input fails the
-    hypothesis, ValueError for m <= 1, and TheoremViolationError if any
-    internal guarantee fails its exact re-check.
+    hypothesis, ValueError for m <= 1, and TheoremViolationError if the
+    result fails verify_decomposition.
     """
-    m = Fraction(m)
+    m = m if isinstance(m, Fraction) else Fraction(m)  # skip re-wrapping a Fraction
     if m <= 1:
         raise ValueError("decomposition needs m > 1")
-    cert = is_sparse(g, SparsityParams(m, 0))
-    if not cert.sparse:
-        raise NotSparseError(
-            f"input is not ({format_rational(m)}, 0)-sparse", certificate=cert
-        )
     k = m.numerator // m.denominator
     eps = m - k
-    if m < 2:
-        if m < Fraction(9, 5):
-            result = _guaranteed(partition_sparse, g, 1, -1, 1, -1)
-            f_ids, r_ids = result.e1.ids, result.e2.ids
-            label = CASE_SMALL_TWO_FORESTS
-        else:
-            result = _guaranteed(partition_sparse, g, 1, -1, 1, 0)
-            refined = eliminate_triangles(ForestPartition(g, result.e1, result.e2))
-            f_ids, r_ids = refined.F.ids, refined.R.ids
-            label = CASE_SMALL_TRIANGLE_FREE
-    else:
-        result = partition_forest_plus(g, k, eps, _certified=True)
-        f_ids, r_ids = result.e1.ids, result.e2.ids
-        label = _large_m_case(k, eps)
-        if label == CASE_D2:
-            s = forest_slack(k, eps)
-            refined = brooks_refine(
-                ForestPartition(g, EdgeSet(g, f_ids), EdgeSet(g, r_ids)), k, s
-            )
-            f_ids, r_ids = refined.F.ids, refined.R.ids
-    final = is_sparse(g.edge_subgraph(r_ids), SparsityParams(m, 1 - 2 * m))
-    if not final.sparse:
-        raise TheoremViolationError(
-            f"remainder is not ({format_rational(m)}, {format_rational(1 - 2 * m)})-sparse "
-            f"after case {label}; witness {final.witness.sorted()}"
-        )
-    if not _acyclic(g, f_ids):
-        raise TheoremViolationError(f"forest side contains a cycle after case {label}")
-    return Decomposition(g, EdgeSet(g, f_ids), EdgeSet(g, r_ids), m, label)
-
-
-def _guaranteed(fn, g, a1, b1, a2, b2):
-    """Run a partition whose success is guaranteed for certified inputs."""
-    try:
-        result = fn(g, a1, b1, a2, b2)
-    except NotSparseError as exc:
-        raise TheoremViolationError(
-            f"certified input fails the ({a1 + a2},{b1 + b2}) slack bound: {exc}"
-        ) from exc
-    if not result.success:
-        raise TheoremViolationError(
-            f"certified input produced a deficiency against ({a1},{b1}) + ({a2},{b2}): "
-            f"B={result.deficiency.sorted()}"
-        )
-    return result
+    result = partition_forest_plus(g, k, eps)
+    label = _case(k, eps)
+    f, r = result.e1, result.e2
+    if label == CASE_SMALL_TRIANGLE_FREE:
+        refined = eliminate_triangles(ForestPartition(g, f, r))
+        f, r = refined.F, refined.R
+    elif label == CASE_D2:
+        refined = brooks_refine(ForestPartition(g, f, r), k, forest_slack(k, eps))
+        f, r = refined.F, refined.R
+    d = Decomposition(g, f, r, m, label)
+    report = verify_decomposition(d)
+    if not report:
+        raise TheoremViolationError(f"after case {label}: {'; '.join(report.problems)}")
+    return d
 
 
 @dataclass(frozen=True)

@@ -251,7 +251,7 @@ class PebbleCountEngine:
     def _spanned_by_region(self) -> list[int]:
         """Members inside the region of the game's last refused gather."""
         inside = set(self.game.last_region)
-        return [eid for eid in sorted(self.members) if inside.issuperset(self.host.edges[eid])]
+        return sorted(eid for eid in self.members if inside.issuperset(self.host.edges[eid]))
 
 
 class MincutCountEngine:

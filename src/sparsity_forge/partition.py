@@ -194,26 +194,20 @@ def partition_sparse(
     return matroid_union_partition(g, m1, m2, minimize_certificate=minimize_certificate)
 
 
-def partition_forest_plus(
-    g: Graph, k: int, eps: Fraction | int, _certified: bool = False
-) -> PartitionResult:
+def partition_forest_plus(g: Graph, k: int, eps: Fraction | int) -> PartitionResult:
     """Split a (k+eps, 0)-sparse graph into a forest and a (k, 1-s)-sparse part,
     where s = forest_slack(k, eps).  Guaranteed total: a deficiency on a
     certified input would contradict the guarantee and raises loudly.
-
-    ``_certified`` lets a caller that just ran the sparsity check skip the
-    repeat; the guarantee still holds because that caller's check was exact.
     """
-    eps = Fraction(eps)
+    eps = eps if isinstance(eps, Fraction) else Fraction(eps)
     if k < 1 or not (0 <= eps < 1):
         raise ValueError("need integral k >= 1 and 0 <= eps < 1")
     m = k + eps
-    if not _certified:
-        cert = is_sparse(g, SparsityParams(m, 0))
-        if not cert.sparse:
-            raise NotSparseError(
-                f"input is not ({format_rational(m)}, 0)-sparse", certificate=cert
-            )
+    cert = is_sparse(g, SparsityParams(m, 0))
+    if not cert.sparse:
+        raise NotSparseError(
+            f"input is not ({format_rational(m)}, 0)-sparse", certificate=cert
+        )
     s = forest_slack(k, eps)
     m1 = make_oracle(g, 1, -1)
     m2 = make_oracle(g, k, 1 - s)

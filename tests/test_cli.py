@@ -7,6 +7,7 @@ import sys
 from importlib import resources
 
 import sparsity_forge as sf
+from sparsity_forge import cli
 from sparsity_forge.cli import main
 
 
@@ -211,6 +212,14 @@ def test_bench_deterministic_and_consistent(capsys):
         cols = line.split()
         check_ms, split_ms, verify_ms, total_ms = map(float, cols[3:7])
         assert abs((check_ms + split_ms + verify_ms) - total_ms) <= 0.05 * total_ms + 0.5
+
+
+def test_bench_failed_check_exits_2(capsys, monkeypatch):
+    # the bench's own checks raise, so they still hold under python -O
+    failing = sf.VerificationReport(ok=False, problems=("F contains a cycle",))
+    monkeypatch.setattr(cli, "verify_decomposition", lambda d: failing)
+    code, _, err = run_cli(capsys, ["bench", "decompose", "--sizes", "24", "--m", "5/2"])
+    assert code == 2 and err.startswith("error:") and "verify_decomposition" in err
 
 
 def test_bench_unknown_suite(capsys):

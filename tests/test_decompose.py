@@ -1,12 +1,16 @@
 """End-to-end forest-plus-sparse decompositions and their verification."""
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import sparsity_forge as sf
+from sparsity_forge import decompose
 from sparsity_forge.errors import NotSparseError
+from sparsity_forge.instances import random_sparse_graph
 
 from conftest import atlas_graphs, random_graph
 
@@ -45,6 +49,13 @@ def test_rejections():
         sf.decompose_ksw(sf.complete_graph(5), Fraction(3, 2))
 
 
+def test_failed_final_check_raises(monkeypatch):
+    # without triangle elimination, K4's pseudoforest side keeps a triangle
+    monkeypatch.setattr(decompose, "eliminate_triangles", lambda part: part)
+    with pytest.raises(sf.TheoremViolationError, match="after case small_m_triangle_free: G'"):
+        sf.decompose_ksw(sf.complete_graph(4), Fraction(9, 5))
+
+
 def test_degenerate_graphs():
     for g in (sf.Graph(0, []), sf.Graph(1, []), sf.Graph(3, [])):
         d = sf.decompose_ksw(g, 2)
@@ -57,7 +68,10 @@ def test_case_labels_over_eps_regions():
     p6 = sf.Graph(6, [(i, i + 1) for i in range(5)])
     expectations = [
         (Fraction(6, 5), "small_m_two_forests"),
+        (Fraction(8, 5), "small_m_two_forests"),
+        (Fraction(179, 100), "small_m_two_forests"),         # eps = 79/100 < 4/5
         (Fraction(9, 5), "small_m_triangle_free"),
+        (Fraction(199, 100), "small_m_triangle_free"),
         (Fraction(2), "large_m_case_A"),                     # eps = 0 < 3/6
         (Fraction(3) + Fraction(5, 12), "large_m_case_B"),   # 3/8 <= 5/12 < 1/2
         (Fraction(2) + Fraction(1, 2), "large_m_case_C"),
@@ -74,6 +88,28 @@ def test_case_labels_over_eps_regions():
         d = sf.decompose_ksw(p6, m)
         assert d.trace == label, (m, d.trace, label)
         assert bool(sf.verify_decomposition(d))
+
+
+def test_each_host_sweep_runs_once(monkeypatch):
+    # one decomposition sweeps the whole host at most once per (a, b): the
+    # (m, 0) gate, and at 9/5 <= m < 2 eliminate_triangles' (2, -1) check
+    real = sf.is_sparse
+    modules = [mod for name, mod in sys.modules.items()
+               if name.startswith("sparsity_forge") and getattr(mod, "is_sparse", None) is real]
+    for m, seed in ((Fraction(19, 10), 21), (Fraction(6, 5), 22)):
+        host = random_sparse_graph(60, m, random.Random(seed))
+        sweeps = Counter()
+
+        def spy(g, params):
+            if g.n == host.n and g.edges == host.edges:
+                sweeps[params.a, params.b] += 1
+            return real(g, params)
+
+        for mod in modules:
+            monkeypatch.setattr(mod, "is_sparse", spy)
+        sf.decompose_ksw(host, m)
+        monkeypatch.undo()
+        assert sweeps[m, 0] == 1 and max(sweeps.values()) == 1, (m, dict(sweeps))
 
 
 def test_d1_beats_d2_in_overlap():

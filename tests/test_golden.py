@@ -47,12 +47,36 @@ def test_generation_digest(n, a, b, seed, expected):
         (Fraction(19, 10), 30, 2, "804ad22fabdd72ac"),
         (Fraction(20, 7), 30, 12, "0c02f2e3a96a8622"),
         (Fraction(5, 2), 60, 13, "8c2842f1f8a2c6af"),
+        # small_m_two_forests, the triangle-free split at 9/5, and m = 3,
+        # where the (k, 1 - s) side is (m, 1 - 2m) itself
+        (Fraction(6, 5), 30, 14, "57dab5bf1e3d141c"),
+        (Fraction(8, 5), 40, 15, "01dababdef0af56b"),
+        (Fraction(9, 5), 40, 16, "295b77b7b772320b"),
+        (Fraction(3), 40, 17, "692c317438b91e67"),
     ],
 )
 def test_decomposition_digest(m, n, seed, expected):
     g = random_sparse_graph(n, m, random.Random(seed))
     d = sf.decompose_ksw(g, m)
     assert _digest(json.dumps(d.to_json_dict(), sort_keys=True)) == expected
+
+
+def test_decomposition_refusal_digest():
+    # hosts that fail (m, 0), at m below and above 2: message and certificate
+    rng = random.Random(18)
+    hosts = [(sf.complete_graph(5), Fraction(3, 2)), (sf.complete_graph(7), Fraction(5, 2))]
+    hosts += [(random_graph(rng, 8, 0.9), m)
+              for m in (Fraction(6, 5), Fraction(9, 5), Fraction(7, 3), Fraction(11, 4))]
+    hosts += [(random_sparse_graph(40, 2, random.Random(19)), m)
+              for m in (Fraction(8, 5), Fraction(19, 10))]
+    hosts += [(random_sparse_graph(40, 3, random.Random(20)), m)
+              for m in (Fraction(5, 2), Fraction(20, 7))]
+    out = []
+    for g, m in hosts:
+        with pytest.raises(sf.NotSparseError) as info:
+            sf.decompose_ksw(g, m)
+        out.append([str(m), str(info.value), info.value.certificate.to_json_dict()])
+    assert _digest(json.dumps(out, sort_keys=True)) == "36ec040718c7485a"
 
 
 def _partition_digest(g, a1, b1, a2, b2, minimize=False):
