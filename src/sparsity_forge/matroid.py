@@ -10,8 +10,10 @@ incremental view of the same matroids: insert, delete, and ``circuit(u, v)``,
 which returns None when the edge fits and otherwise the members spanned by
 the unique minimal tight vertex set through u and v (minimal tight sets
 through a fixed pair are closed under intersection).  For b <= 0 that set is
-the region a refused pebble gather reaches from {u, v} (Lee & Streinu); only
-b > 0 falls back to a forced min-cut.  The (1, -1) engine is a rooted
+the region a refused pebble gather reaches from {u, v} (Lee & Streinu).  For
+b > 0 the matroid is the (a, 0) one elongated by b (Whiteley), played as an
+(a, 0) game plus up to b spare edges; the set is the union of the refused
+region and every spare edge's stalled region.  The (1, -1) engine is a rooted
 forest whose circuit is the forest path, found in O(depth) by walking the
 root paths of u and v; linking two trees re-roots one of them.
 ``insert(eid, u, v)`` follows the same convention: None when it places the
@@ -226,38 +228,63 @@ class ForestEngine:
 
 
 class PebbleCountEngine:
-    """Integral (a, b) with -2a < b <= 0: pebble inserts and circuits."""
+    """Integral (a, b) with -2a < b: pebble inserts and circuits.
+
+    For b > 0 the (a, b) matroid is the (a, 0) one elongated by b: an (a, 0)
+    game plus up to b ``spare`` members it refuses.  The game holds an
+    (a, 0) basis of the members, and ``len(spare)`` is their nullity.
+    """
 
     def __init__(self, host: Graph, a: int, b: int):
         self.host = host
-        self.game = PebbleGame(host.n, a, -b)
+        self.game = PebbleGame(host.n, a, max(-b, 0))
+        self.room = max(b, 0)
+        self.spare: list[int] = []
         self.members: set[int] = set()
 
     def insert(self, eid: int, u: int, v: int) -> list[int] | None:
         if not self.game.insert(u, v):
-            return self._spanned_by_region()
+            if len(self.spare) == self.room:
+                return self._spanned_by_region()
+            self.spare.append(eid)
         self.members.add(eid)
         return None
 
     def delete(self, eid: int) -> None:
-        self.game.delete(*self.host.edges[eid])
         self.members.remove(eid)
+        if eid in self.spare:
+            self.spare.remove(eid)
+            return
+        self.game.delete(*self.host.edges[eid])
+        # the game's rank fell by at most one, so at most one spare edge fits
+        for spare_eid in self.spare:
+            if self.game.insert(*self.host.edges[spare_eid]):
+                self.spare.remove(spare_eid)
+                break
 
     def circuit(self, u: int, v: int) -> list[int] | None:
-        if self.game.insertable(u, v):
+        if len(self.spare) < self.room or self.game.insertable(u, v):
             return None
         return self._spanned_by_region()
 
     def _spanned_by_region(self) -> list[int]:
-        """Members inside the region of the game's last refused gather."""
+        """Members inside the minimal tight set through u and v: the last
+        refused gather's region joined with each spare edge's stalled one."""
         inside = set(self.game.last_region)
+        for spare_eid in self.spare:
+            self.game.gather_max(*self.host.edges[spare_eid], stop_at=1)
+            inside.update(self.game.last_region)
         return sorted(eid for eid in self.members if inside.issuperset(self.host.edges[eid]))
 
 
 class MincutCountEngine:
-    """Integral (a, b) with b > 0: forced min-cut for both tests and circuits."""
+    """A forced min-cut per test and circuit; rational a and b welcome.
 
-    def __init__(self, host: Graph, a: int, b: int):
+    No engine route builds it: it is the slow reference for
+    ``PebbleCountEngine`` and the brute partition search's b > 0 side test.
+    """
+
+    def __init__(self, host: Graph, a, b):
         self.host = host
         self.a, self.b = a, b
         self.members: set[int] = set()
@@ -277,10 +304,11 @@ class MincutCountEngine:
     def circuit(self, u: int, v: int) -> list[int] | None:
         ordered = sorted(self.members)
         pairs = [self.host.edges[i] for i in ordered]
-        value, umin, _ = selection_max(self.host.n, pairs, self.a, 1, free_vertices=(u, v))
-        # value - 2a = max of e(U) - a|U| over U containing u, v
-        if value - 2 * self.a < self.b:
-            return None  # no tight set through u, v
+        p, q = self.a.numerator, self.a.denominator
+        value, umin, _ = selection_max(self.host.n, pairs, p, q, free_vertices=(u, v))
+        # (value - 2p) / q = max of e(U) - a|U| over U containing u, v
+        if value - 2 * p <= q * (self.b - 1):
+            return None  # {u, v} keeps every such U within the bound
         inside = set(umin)
         return [eid for eid, (x, y) in zip(ordered, pairs) if x in inside and y in inside]
 
@@ -306,8 +334,6 @@ def engine_for(oracle: CountMatroidOracle):
     a, b = oracle.a, oracle.b
     if (a, b) == (1, -1):
         return ForestEngine(oracle.host)
-    if b > 0:
-        return MincutCountEngine(oracle.host, a, b)
     if b == -2 * a:
         return TrivialEngine(oracle.host)
     return PebbleCountEngine(oracle.host, a, b)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import PathologicalParametersError
 from .graphs import EdgeSet, Graph, VertexSet
-from .mincut import selection_max
+from .matroid import MincutCountEngine
 from .pebble import PebbleGame
 from .sparsity import SparsityCertificate, SparsityParams
 
@@ -88,17 +88,19 @@ def brute_sparse(g: Graph, a: Fraction | int, b: Fraction | int) -> SparsityCert
 class _SideChecker:
     """Incremental exact test for one side of a partial 2-coloring.
 
-    b <= 0 runs the scaled pebble engine (rational a and b welcome); b > 0
-    runs a forced min-cut per insertion.  Pathological sides hold nothing.
+    b <= 0 runs the scaled pebble game (rational a and b welcome).  b > 0
+    runs ``MincutCountEngine``'s forced min-cut per insertion, now the
+    independent reference for the elongated pebble game that partitions
+    play at b > 0.  Pathological sides hold nothing.
     """
 
     def __init__(self, g: Graph, a: Fraction, b: Fraction):
         self.g = g
-        self.a, self.b = a, b
         self.pathological = 2 * a + b < 1
         self.members: list[int] = []
         # nonpathological means 2a + b >= 1, hence l < 2k in the scaled game
         self._game = PebbleGame.scaled(g.n, a, b) if not self.pathological and b <= 0 else None
+        self._mincut = MincutCountEngine(g, a, b) if b > 0 else None
 
     def try_add(self, eid: int) -> bool:
         """Add edge eid to the side if the side stays sparse; report success."""
@@ -106,25 +108,20 @@ class _SideChecker:
             return False
         u, v = self.g.edges[eid]
         if self._game is not None:
-            if not self._game.insert(u, v):
-                return False
+            fits = self._game.insert(u, v)
+        else:
+            fits = self._mincut.insert(eid, u, v) is None
+        if fits:
             self.members.append(eid)
-            return True
-        # b > 0: a new violation would be a set U containing u and v with
-        # e(U) - a|U| > b - 1 among the current members
-        pairs = [self.g.edges[i] for i in self.members]
-        p, q = self.a.numerator, self.a.denominator
-        value, _, _ = selection_max(self.g.n, pairs, p, q, free_vertices=(u, v))
-        if Fraction(value - 2 * p, q) > self.b - 1:
-            return False
-        self.members.append(eid)
-        return True
+        return fits
 
     def remove(self, eid: int) -> None:
         assert self.members and self.members[-1] == eid
         self.members.pop()
         if self._game is not None:
             self._game.delete(*self.g.edges[eid])
+        else:
+            self._mincut.delete(eid)
 
 
 def _capacity(g: Graph, a: Fraction, b: Fraction) -> int:

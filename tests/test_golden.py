@@ -97,6 +97,44 @@ def test_minimized_deficiency_digest():
     assert _partition_digest(g, 1, -1, 1, -2, minimize=True) == ("deficiency", "e65d06758175709e")
 
 
+def _positive_slack_host(n, a, b, seed):
+    # an (a, 0)-sparse host plus up to b more edges that keep it (a, b)-sparse,
+    # so a b > 0 side has to hold edges beyond its (a, 0) part
+    rng = random.Random(seed)
+    g = random_sparse_graph(n, a, rng)
+    for _ in range(20 * b):
+        if g.e >= a * n + b:
+            break
+        u, v = sorted(rng.sample(range(n), 2))
+        if (u, v) in g.edge_index:
+            continue
+        bigger = sf.Graph(n, list(g.edges) + [(u, v)])
+        if sf.is_sparse(bigger, sf.SparsityParams(a, b)).sparse:
+            g = bigger
+    return g
+
+
+@pytest.mark.parametrize(
+    "n, sides, seed, expected",
+    [
+        (40, (1, -1, 1, 1), 41, "efeb61d26e530619"),
+        (36, (1, -1, 2, 1), 42, "0e8db566df030f37"),
+        (40, (1, 0, 1, 1), 43, "dfb6dc13b2dced93"),
+        (30, (2, 1, 1, 2), 44, "7bc90def8dd30919"),
+    ],
+)
+def test_positive_slack_partition_digest(n, sides, seed, expected):
+    a1, b1, a2, b2 = sides
+    g = _positive_slack_host(n, a1 + a2, b1 + b2, seed)
+    assert _partition_digest(g, *sides) == ("success", expected)
+
+
+def test_positive_slack_deficiency_digest():
+    # criterion 3's disconnected family refuses forest + (1, 1)
+    g = sf.gen_counterexample_disconnected(1, 1, 5, 2)
+    assert _partition_digest(g, 1, -1, 1, 1, minimize=True) == ("deficiency", "dddc9e3cbeec5efa")
+
+
 def test_tight_components_digest():
     # five dense 7-vertex blocks joined by a few sparse edges
     rng = random.Random(11)

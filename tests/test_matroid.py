@@ -1,6 +1,7 @@
 """Count-matroid oracle: independence, greedy rank, tight components, axioms."""
 
 from collections import deque
+from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import sparsity_forge as sf
 from sparsity_forge.errors import MatroidRegimeError
-from sparsity_forge.matroid import ForestEngine, engine_for
+from sparsity_forge.matroid import ForestEngine, MincutCountEngine, PebbleCountEngine, engine_for
 
 from conftest import random_graph
 
@@ -112,14 +113,18 @@ def test_rank_monotone_and_submodular(rng):
         (1, -1, "ForestEngine"),
         (1, 0, "PebbleCountEngine"),
         (2, -3, "PebbleCountEngine"),
-        (1, 1, "MincutCountEngine"),
-        (2, 1, "MincutCountEngine"),
+        (1, 1, "PebbleCountEngine"),
+        (2, 1, "PebbleCountEngine"),
+        (1, 2, "PebbleCountEngine"),
+        (3, 1, "PebbleCountEngine"),
         (1, -2, "TrivialEngine"),
     ],
 )
 def test_engine_circuit_is_none_exactly_when_insert_succeeds(rng, a, b, engine):
+    promotions = 0  # deletes after which a spare edge re-entered the game
     for _ in range(12):
-        g = random_graph(rng, rng.randint(2, 9), rng.choice([0.4, 0.7]))
+        # dense enough at every a that b > 0 engines fill their spare slots
+        g = random_graph(rng, rng.randint(2, 12), rng.choice([0.4, 0.7, 1.0]))
         o = sf.make_oracle(g, a, b)
         eng = engine_for(o)
         assert type(eng).__name__ == engine
@@ -138,10 +143,75 @@ def test_engine_circuit_is_none_exactly_when_insert_succeeds(rng, a, b, engine):
                 for x in circuit:
                     rest = [y for y in members if y != x]
                     assert o.is_independent(edge_set(g, rest + [eid]))
-            if members and rng.random() < 0.2:
+            if members and rng.random() < 0.3:
                 gone = rng.choice(members)
+                spare = list(getattr(eng, "spare", ()))
                 eng.delete(gone)
                 members.remove(gone)
+                if gone not in spare and len(getattr(eng, "spare", ())) < len(spare):
+                    promotions += 1
+    assert (promotions > 0) == (b > 0), promotions
+
+
+def _assert_spare_invariant(eng, members, b):
+    """Spare edges are at most b members the game refuses; the game holds
+    exactly the other members, one arc each."""
+    host, game = eng.host, eng.game
+    assert eng.members == members
+    assert len(eng.spare) <= b and set(eng.spare) <= members
+    for eid in members:
+        u, v = host.edges[eid]
+        assert game.out[u].get(v, 0) + game.out[v].get(u, 0) == (eid not in eng.spare)
+    for eid in eng.spare:
+        assert not game.insertable(*host.edges[eid])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_elongated_engine_matches_forced_mincut(data):
+    # b > 0: the (a, 0) game plus b spare slots against a forced min-cut per
+    # query, and the min-cut verdicts against the sparsity engine
+    a = data.draw(st.integers(1, 3), label="a")
+    b = data.draw(st.integers(1, 3), label="b")
+    host = sf.complete_graph(data.draw(st.integers(2, 10), label="n"))
+    eng = PebbleCountEngine(host, a, b)
+    ref = MincutCountEngine(host, a, b)
+    members: set[int] = set()
+    for _ in range(data.draw(st.integers(0, 40), label="steps")):
+        op = data.draw(st.sampled_from(["insert", "circuit", "delete"]), label="op")
+        if op == "delete" and members:
+            eid = data.draw(st.sampled_from(sorted(members)), label="eid")
+            eng.delete(eid)
+            ref.delete(eid)
+            members.remove(eid)
+        elif len(members) < host.e:
+            eid = data.draw(st.sampled_from([e for e in range(host.e) if e not in members]))
+            u, v = host.edges[eid]
+            expected = ref.circuit(u, v)
+            fits = sf.is_sparse(host.edge_subgraph(sorted(members) + [eid]), sf.SparsityParams(a, b))
+            assert (expected is None) == fits.sparse
+            if op == "circuit":
+                assert eng.circuit(u, v) == expected
+            else:
+                assert eng.insert(eid, u, v) == expected
+                if expected is None:
+                    ref.insert(eid, u, v)
+                    members.add(eid)
+        _assert_spare_invariant(eng, members, b)
+
+
+def test_mincut_reference_takes_rational_bounds(rng):
+    # the brute partition search runs its b > 0 sides on this engine
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(2, 8), 0.7)
+        a = Fraction(rng.randint(2, 9), rng.randint(1, 4))
+        b = Fraction(rng.randint(-2, 3), rng.randint(1, 3))
+        if 2 * a + b < 1:
+            continue
+        ref = MincutCountEngine(g, a, b)
+        for eid, (u, v) in enumerate(g.edges):
+            fits = sf.brute_sparse(g.edge_subgraph(sorted(ref.members) + [eid]), a, b).sparse
+            assert (ref.insert(eid, u, v) is None) == fits
 
 
 def test_forest_add_refuses_a_cycle_and_stays_usable():
