@@ -2,10 +2,12 @@
 
 Inputs are graph6 (default, one graph per line, so corpora can be piped
 through) or a single edge-list file.  Results go to stdout as one JSON
-object per input graph; diagnostics go to stderr.  Exit codes are uniform:
-0 = yes, 1 = certified no, 2 = error.  A batch is answered in input order
-and printed only once every graph in it is answered, so an error anywhere
-in the batch prints no results.
+object per input record, in input order, each printed once it is answered;
+diagnostics go to stderr.  Exit codes are uniform: 0 = yes, 1 = certified
+no, 2 = error, and a run exits with the largest code over its records.  A
+malformed record answers with {"reason", "line", "offset"} in its slot and
+exit code 2, and the records after it are still answered.  Parameter errors
+and bugs end the run at once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import time
 from .decompose import decompose_ksw, verify_decomposition
 from .errors import GraphFormatError, NotSparseError, SparsityForgeError, VerificationError
 from .graphs import (
-    Graph,
     gen_counterexample_disconnected,
     gen_counterexample_glued_trees,
     gen_counterexample_ring,
@@ -38,7 +39,8 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 
 
-def _read_graphs(args) -> list[Graph]:
+def _records(args):
+    """Each input record as a Graph, or as the GraphFormatError it raised."""
     if args.input and args.input != "-":
         with open(args.input, "rb") as fh:
             data = fh.read()
@@ -46,25 +48,39 @@ def _read_graphs(args) -> list[Graph]:
         data = sys.stdin.buffer.read()
     if args.format == "edgelist":
         try:
-            return [parse_edgelist(data.decode("ascii"))]
+            yield parse_edgelist(data.decode("ascii"))
         except UnicodeDecodeError as exc:
             # lines break as in parse_edgelist; the offending byte ends the last one
             line = len((data[: exc.start].decode("ascii") + "?").splitlines())
-            raise GraphFormatError(
-                f"non-ASCII byte {data[exc.start]:#04x}", exc.start, line=line
-            ) from None
-    graphs = []
+            yield GraphFormatError(f"non-ASCII byte {data[exc.start]:#04x}", exc.start, line=line)
+        except GraphFormatError as exc:
+            yield exc
+        return
     start = 0  # byte offset of the current line in the whole input
     for lineno, line in enumerate(data.splitlines(keepends=True), 1):
         record = line.strip()
         if record:
             try:
-                graphs.append(parse_graph6(record))
+                yield parse_graph6(record)
             except GraphFormatError as exc:
                 offset = start + len(line) - len(line.lstrip()) + exc.offset
-                raise GraphFormatError(exc.reason, offset, line=lineno) from None
+                yield GraphFormatError(exc.reason, offset, line=lineno)
         start += len(line)
-    return graphs
+
+
+def _answer_each(args, answer) -> int:
+    """Print one JSON object per record as ``answer(graph) -> (dict, exit code)``
+    makes it; return the largest exit code over the records."""
+    status = EXIT_YES
+    for g in _records(args):
+        if isinstance(g, GraphFormatError):
+            record, code = {"reason": g.reason, "line": g.line, "offset": g.offset}, EXIT_ERROR
+            print(f"error: {g}", file=sys.stderr)
+        else:
+            record, code = answer(g)
+        print(json.dumps(record))
+        status = max(status, code)
+    return status
 
 
 def _add_io_args(p: argparse.ArgumentParser) -> None:
@@ -79,74 +95,46 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
 
 def cmd_check(args) -> int:
     params = SparsityParams(parse_rational(args.a), parse_rational(args.b))
-    graphs = _read_graphs(args)
-    certs = [is_sparse(g, params) for g in graphs]
-    status = EXIT_YES
-    for cert in certs:
-        print(json.dumps(cert.to_json_dict()))
-        if not cert.sparse:
-            status = EXIT_NO
-    return status
+
+    def answer(g):
+        cert = is_sparse(g, params)
+        return cert.to_json_dict(), EXIT_YES if cert.sparse else EXIT_NO
+
+    return _answer_each(args, answer)
 
 
 def cmd_decompose(args) -> int:
     m = parse_rational(args.m)
-    graphs = _read_graphs(args)
 
-    def run(g: Graph):
+    def answer(g):
         t0 = time.perf_counter()
         try:
             d = decompose_ksw(g, m)
         except NotSparseError as exc:
-            return ("not_sparse", exc.certificate, None)
+            return exc.certificate.to_json_dict(), EXIT_NO
         t1 = time.perf_counter()
-        verified = None
-        if args.verify:
-            verified = bool(verify_decomposition(d))
+        verified = bool(verify_decomposition(d)) if args.verify else None
         t2 = time.perf_counter()
-        timing = {"decompose": (t1 - t0) * 1e3, "verify": (t2 - t1) * 1e3}
-        return ("ok", d, (verified, timing))
-
-    results = [run(g) for g in graphs]
-    status = EXIT_YES
-    for kind, payload, extra in results:
-        if kind == "not_sparse":
-            print(json.dumps(payload.to_json_dict()))
-            status = max(status, EXIT_NO)
-            continue
-        verified, timing = extra
-        out = payload.to_json_dict(verified=verified)
+        out = d.to_json_dict(verified=verified)
         if args.trace:
+            timing = {"decompose": (t1 - t0) * 1e3, "verify": (t2 - t1) * 1e3}
             out["timing_ms"] = {k: round(v, 3) for k, v in timing.items()}
-        print(json.dumps(out))
-        if verified is False:
-            status = EXIT_ERROR
-    return status
+        return out, EXIT_ERROR if verified is False else EXIT_YES
+
+    return _answer_each(args, answer)
 
 
 def cmd_partition(args) -> int:
-    graphs = _read_graphs(args)
-
-    def run(g: Graph):
+    def answer(g):
         try:
-            return ("ok", partition_sparse(
-                g, args.a1, args.b1, args.a2, args.b2,
-                minimize_certificate=args.minimize,
-            ))
+            result = partition_sparse(
+                g, args.a1, args.b1, args.a2, args.b2, minimize_certificate=args.minimize
+            )
         except NotSparseError as exc:
-            return ("not_sparse", exc.certificate)
+            return exc.certificate.to_json_dict(), EXIT_NO
+        return result.to_json_dict(), EXIT_YES if result.success else EXIT_NO
 
-    results = [run(g) for g in graphs]
-    status = EXIT_YES
-    for kind, payload in results:
-        if kind == "not_sparse":
-            print(json.dumps(payload.to_json_dict()))
-            status = max(status, EXIT_NO)
-            continue
-        print(json.dumps(payload.to_json_dict()))
-        if not payload.success:
-            status = max(status, EXIT_NO)
-    return status
+    return _answer_each(args, answer)
 
 
 def cmd_gen(args) -> int:

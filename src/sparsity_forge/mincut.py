@@ -72,29 +72,19 @@ class Dinic:
                     break
                 flow += pushed
 
-    def residual_reachable(self, s: int) -> list[bool]:
+    def residual_reach(self, root: int, backward: bool = False) -> list[bool]:
+        """Nodes reachable from ``root`` in the residual network or, with
+        ``backward``, the nodes that reach ``root`` there."""
+        flip = int(backward)
         seen = [False] * self.n
-        seen[s] = True
-        dq = deque([s])
+        seen[root] = True
+        dq = deque([root])
         while dq:
             u = dq.popleft()
             for idx in self.head[u]:
+                # arc idx runs u -> to[idx]; its twin idx ^ 1 runs back into u
                 v = self.to[idx]
-                if self.cap[idx] > 0 and not seen[v]:
-                    seen[v] = True
-                    dq.append(v)
-        return seen
-
-    def residual_coreachable(self, t: int) -> list[bool]:
-        seen = [False] * self.n
-        seen[t] = True
-        dq = deque([t])
-        while dq:
-            u = dq.popleft()
-            for idx in self.head[u]:
-                # arc (to[idx^1] -> u) has residual capacity cap[idx^1]
-                v = self.to[idx]
-                if self.cap[idx ^ 1] > 0 and not seen[v]:
+                if self.cap[idx ^ flip] > 0 and not seen[v]:
                     seen[v] = True
                     dq.append(v)
         return seen
@@ -131,9 +121,9 @@ def selection_max(
             net.add_edge(1 + e + v, sink, p)
     flow = net.max_flow(source, sink)
     value = total - flow
-    reach = net.residual_reachable(source)
+    reach = net.residual_reach(source)
     minimal = sorted(v for v in range(n) if reach[1 + e + v])
-    coreach = net.residual_coreachable(sink)
+    coreach = net.residual_reach(sink, backward=True)
     maximal = sorted(v for v in range(n) if not coreach[1 + e + v])
     # free vertices are costless: include them in both sides by convention
     for v in free:

@@ -192,7 +192,7 @@ def max_violation(
                 return Fraction(value, q), VertexSet(g, umin)
             if umax:
                 return Fraction(0), VertexSet(g, umax)
-        game = PebbleGame(g.n, p, 0, copies=q)
+        game = PebbleGame.scaled(g.n, a, 0)
         if not all(game.insert(u, v) for u, v in g.edges):
             return _positive_max(g, p, q)
     best = None
@@ -214,7 +214,7 @@ def max_violation(
     if s == 2 * p - q:  # no set beats a lone edge
         u, v = g.edges[0]
         return value, VertexSet(g, [u, v])
-    game = PebbleGame(g.n, p, s + 1, copies=q)
+    game = PebbleGame.scaled(g.n, a, Fraction(-(s + 1), q))
     if all(game.insert(u, v) for u, v in g.edges):
         raise AssertionError("gather count and pebble sweep disagree")
     return value, VertexSet(g, game.last_region)

@@ -1,10 +1,15 @@
-"""CLI contract: exit codes, JSON schemas, piping, bench determinism."""
+"""CLI contract: exit codes, JSON schemas, piping, per-record errors, bench determinism."""
 
 import io
 import json
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsity_forge as sf
 from sparsity_forge import cli
@@ -30,6 +35,17 @@ def load_schema(name):
 
 def g6(g):
     return sf.write_graph6(g) + "\n"
+
+
+# check --a 1 --b -1 on the triangle "Bw"
+TRIANGLE = (
+    '{"verdict": "not_sparse", "a": "1", "b": "-1", "witness": [0, 1, 2], '
+    '"max_violation": "1", "min_potential": "0"}\n'
+)
+
+
+def error_record(reason, line, offset):
+    return json.dumps({"reason": reason, "line": line, "offset": offset}) + "\n"
 
 
 def test_check_exit_codes(capsys, monkeypatch):
@@ -81,13 +97,13 @@ def test_non_ascii_edgelist_file_names_the_byte(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, ["check", "--a", "1", "--b", "0", "--format", "edgelist", str(f)]
     )
-    assert code == 2 and out == ""
+    assert code == 2 and out == error_record("non-ASCII byte 0xc3", 1, 2)
     assert err == "error: non-ASCII byte 0xc3 (line 1, at byte offset 2)\n"
     f.write_bytes(b"n = 3\r\n0 1\r\n\r\n1 2 \xff\n")
     code, out, err = run_cli(
         capsys, ["check", "--a", "1", "--b", "0", "--format", "edgelist", str(f)]
     )
-    assert code == 2 and out == ""
+    assert code == 2 and out == error_record("non-ASCII byte 0xff", 4, 18)
     assert err == "error: non-ASCII byte 0xff (line 4, at byte offset 18)\n"
 
 
@@ -105,12 +121,15 @@ def test_edgelist_errors_name_the_line_and_byte(capsys, monkeypatch):
         code, out, err = run_cli(
             capsys, ["check", "--a", "1", "--b", "0", "--format", "edgelist"], data, monkeypatch
         )
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        where = re.fullmatch(r"(.*) \(line (\d+), at byte offset (\d+)\)", message)
+        reason, line, offset = where.group(1), int(where.group(2)), int(where.group(3))
+        assert (code, out, err) == (2, error_record(reason, line, offset), f"error: {message}\n")
 
 
 def test_invalid_utf8_graph6_line_names_the_byte(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["check", "--a", "1", "--b", "-1"], b"Bw\n\xff\n", monkeypatch)
-    assert code == 2 and out == ""
+    assert code == 2
+    assert out == TRIANGLE + error_record("header byte 255 outside graph6 range 63..126", 2, 3)
     assert err == "error: header byte 255 outside graph6 range 63..126 (line 2, at byte offset 3)\n"
 
 
@@ -119,9 +138,140 @@ def test_graph6_errors_count_from_the_start_of_the_input(capsys, monkeypatch):
     # all shift the offending byte; offsets count every byte before it
     text = b"Bw\r\n\n  >>graph6<<Bw\n\t>>graph6<<Bx\xff\n"
     code, out, err = run_cli(capsys, ["check", "--a", "1", "--b", "-1"], text, monkeypatch)
-    assert code == 2 and out == ""
+    assert code == 2
+    assert out == 2 * TRIANGLE + error_record("trailing bytes after adjacency bits", 4, 33)
     assert err == "error: trailing bytes after adjacency bits (line 4, at byte offset 33)\n"
     assert text[33:34] == b"\xff"
+
+
+def test_malformed_record_costs_only_itself(capsys, monkeypatch):
+    reason = "truncated adjacency bits: need 286 bytes, got 2"
+    err_line = f"error: {reason} (line 2, at byte offset 6)\n"
+    bad = error_record(reason, 2, 6)
+    code, out, err = run_cli(
+        capsys, ["check", "--a", "1", "--b", "-1"], b"Bw\nzzz\nBw\n", monkeypatch
+    )
+    assert (code, out, err) == (2, TRIANGLE + bad + TRIANGLE, err_line)
+    split = '{"outcome": "success", "e1": [0, 1], "e2": [2]}\n'
+    code, out, err = run_cli(
+        capsys, ["partition", "--a1", "1", "--b1", "-1", "--a2", "1", "--b2", "-1"],
+        b"Bw\nzzz\nBw\n", monkeypatch,
+    )
+    assert (code, out, err) == (2, split + bad + split, err_line)
+    # a lone CR ends a line too
+    code, out, err = run_cli(capsys, ["check", "--a", "1", "--b", "-1"], b"Bw\rBx\n", monkeypatch)
+    assert (code, out) == (2, TRIANGLE + error_record("nonzero padding bit", 2, 4))
+    assert err == "error: nonzero padding bit (line 2, at byte offset 4)\n"
+
+
+def test_lone_carriage_return_breaks_lines(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, ["check", "--a", "1", "--b", "-1"], b"Bw\rBw\n", monkeypatch)
+    assert (code, out, err) == (1, 2 * TRIANGLE, "")
+
+
+STREAM_COMMANDS = [
+    ["check", "--a", "1", "--b", "-1"],
+    ["partition", "--a1", "1", "--b1", "-1", "--a2", "1", "--b2", "-2", "--minimize"],
+    ["decompose", "--m", "3/2", "--verify"],
+]
+
+
+def run_alone(argv, data: bytes):
+    """main() on ``data`` as stdin, without pytest fixtures (for hypothesis)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data))
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+_NON_SPACE_BYTE = st.integers(0, 255).filter(lambda c: not bytes([c]).isspace())
+
+
+@st.composite
+def graph6_records(draw):
+    """A graph6 record, possibly corrupted; never blank and never containing
+    whitespace, so it stays one record on one line."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    rec = bytearray(sf.write_graph6(sf.Graph(n, edges)).encode())
+    how = draw(st.sampled_from(["keep", "keep", "cut", "append", "replace"]))
+    if how == "cut" and len(rec) > 1:
+        del rec[draw(st.integers(1, len(rec) - 1)):]
+    elif how == "append":
+        rec += bytes(draw(st.lists(_NON_SPACE_BYTE, min_size=1, max_size=3)))
+    elif how == "replace":
+        rec[draw(st.integers(0, len(rec) - 1))] = draw(_NON_SPACE_BYTE)
+    return bytes(rec)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    argv=st.sampled_from(STREAM_COMMANDS),
+    records=st.lists(graph6_records(), min_size=1, max_size=6),
+)
+def test_stream_answers_each_record_as_if_alone(argv, records):
+    code, out, err = run_alone(argv, b"".join(r + b"\n" for r in records))
+    lines = out.splitlines()
+    assert len(lines) == len(records)
+    codes, errors, start = [], [], 0
+    for i, rec in enumerate(records):
+        alone_code, alone_out, _ = run_alone(argv, rec + b"\n")
+        codes.append(alone_code)
+        if alone_code == 2:
+            alone = json.loads(alone_out)
+            expect = {"reason": alone["reason"], "line": i + 1, "offset": alone["offset"] + start}
+            assert json.loads(lines[i]) == expect
+            errors.append(
+                f"error: {alone['reason']} (line {i + 1}, at byte offset {expect['offset']})"
+            )
+        else:
+            assert lines[i] + "\n" == alone_out
+        start += len(rec) + 1
+    assert code == max(codes)
+    assert err.splitlines() == errors
+
+
+def test_every_stream_line_matches_one_shipped_schema(capsys, monkeypatch):
+    import jsonschema
+
+    shipped = resources.files("sparsity_forge.schemas")
+    validators = {
+        path.name: jsonschema.Draft202012Validator(json.loads(path.read_text()))
+        for path in shipped.iterdir()
+        if path.name.endswith(".schema.json")
+    }
+    assert "error.schema.json" in validators
+    stream = (
+        g6(sf.complete_graph(3)) + "zzz\n" + g6(sf.Graph(4, [(0, 1), (2, 3)]))
+        + "\xff\n" + g6(sf.complete_graph(5)) + "Bx\n"
+    )
+    argvs = STREAM_COMMANDS + [["decompose", "--m", "2", "--verify", "--trace"]]
+    for argv in argvs:
+        code, out, _ = run_cli(capsys, argv, stream.encode("latin-1"), monkeypatch)
+        assert code == 2 and len(out.splitlines()) == 6
+        for line in out.splitlines():
+            record = json.loads(line)
+            matching = [name for name, v in validators.items() if v.is_valid(record)]
+            assert len(matching) == 1, (argv, line, matching)
+        assert [json.loads(l).get("line") for l in out.splitlines()[1::2]] == [2, 4, 6]
+
+
+def test_parameter_error_ends_the_run(capsys, monkeypatch):
+    stream = 3 * g6(sf.complete_graph(3))
+    for argv in (
+        ["check", "--a", "1", "--b", "-2"],
+        ["partition", "--a1", "1", "--b1", "-3", "--a2", "1", "--b2", "0"],
+        ["decompose", "--m", "1"],
+    ):
+        code, out, err = run_cli(capsys, argv, stream, monkeypatch)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert len(err.splitlines()) == 1
 
 
 def test_parse_error_exit_2(capsys, monkeypatch):
