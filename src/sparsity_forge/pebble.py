@@ -13,7 +13,8 @@ loops never are.  Rational bounds scale to integers: a simple graph is
 (p/q, b)-sparse with b <= 0 iff its q-fold blow-up is (p, -bq)-sparse, so a
 game built by ``scaled`` stands for every edge with ``copies`` parallel
 arcs, placed all or none.  Parallel copies are interchangeable, so deleting
-{u, v} drops any u-v arcs and refunds their tails' pebbles.
+{u, v} drops any u-v arcs and refunds their tails' pebbles.  For b > 0,
+``scaled`` builds the elongated game instead.
 
 The game is a capacitated augmenting-path search (Gabow & Westermann,
 "Forests, frames, and games"): an arc's multiplicity is its capacity, so
@@ -29,6 +30,14 @@ from math import lcm
 
 
 class PebbleGame:
+    """Inserts may still leave ``room`` copies unplaced; ``unplaced`` they have.
+
+    Room is 0 unless ``scaled`` built the elongated game for b > 0.  Spent
+    room is never refunded: ``delete`` and ``insertable`` keep their
+    all-copies contract, so ``delete`` raises ValueError once a copy went
+    unplaced, and no caller asks ``insertable`` of such a game.
+    """
+
     def __init__(self, n: int, k: int, l: int, copies: int = 1):
         if k < 1 or not (0 <= l < 2 * k):
             raise ValueError(f"pebble game needs k >= 1 and 0 <= l < 2k, got ({k}, {l})")
@@ -36,6 +45,8 @@ class PebbleGame:
         self.k = k
         self.l = l
         self.copies = copies
+        self.room = 0
+        self.unplaced = 0
         self.pebbles = [k] * n
         self.out: list[dict[int, int]] = [dict() for _ in range(n)]  # head -> arc count
         self.last_region: list[int] = []
@@ -46,16 +57,21 @@ class PebbleGame:
 
     @classmethod
     def scaled(cls, n: int, a: Fraction | int, b: Fraction | int) -> "PebbleGame":
-        """Game deciding (a, b)-sparsity of simple graphs, rational a > 0 and b <= 0.
+        """Game deciding (a, b)-sparsity of simple graphs, rational a > 0.
 
         With q the least common denominator, each edge becomes q parallel
-        arcs in the integral (a*q, -b*q) game.
+        arcs in the integral (a*q, -b*q) game.  For b > 0 that is the
+        elongated (a*q, 0) game (Whiteley): the graph is (a, b)-sparse iff its
+        blow-up's nullity in the (a*q, 0) count matroid, the copies the game
+        leaves unplaced, is at most its ``room`` b*q.
         """
         a, b = Fraction(a), Fraction(b)
         q = lcm(a.denominator, b.denominator)
         # integer arithmetic: is_sparse builds one of these per decision
         k, l = a.numerator * (q // a.denominator), -b.numerator * (q // b.denominator)
-        return cls(n, k, l, copies=q)
+        game = cls(n, k, l if l > 0 else 0, copies=q)
+        game.room = -l if l < 0 else 0
+        return game
 
     # -- internals ----------------------------------------------------------
 
@@ -167,19 +183,24 @@ class PebbleGame:
         return True
 
     def insert(self, u: int, v: int) -> bool:
-        """Accept {u, v} as ``copies`` parallel arcs, all or none, if the edge
-        set stays sparse.
+        """Accept {u, v} if the edge set stays sparse.
 
         One gather collects l + copies pebbles onto {u, v}, which is what
         placing the copies one at a time with l + 1 pebbles each demands of
-        every vertex set through u and v.  A refused insert places nothing,
-        and ``last_region`` holds the blocked set.
+        every vertex set through u and v.  Copies it falls short by stay
+        unplaced, paid from ``room``; if the room cannot pay, the insert is
+        refused, places nothing, and ``last_region`` holds the blocked set.
         """
         if u == v:
             raise ValueError("loops are never sparse here")
         pebbles, out, copies = self.pebbles, self.out, self.copies
-        if self._gather(u, v, self.l + copies) < self.l + copies:
-            return False
+        short = self.l + copies - self._gather(u, v, self.l + copies)
+        if short > 0:
+            if short > self.room:
+                return False
+            self.room -= short
+            self.unplaced += short
+            copies -= short
         from_u = pebbles[u] if pebbles[u] < copies else copies
         if from_u:
             pebbles[u] -= from_u
@@ -191,6 +212,8 @@ class PebbleGame:
 
     def delete(self, u: int, v: int) -> None:
         """Remove an accepted edge {u, v}: any ``copies`` arcs between u and v."""
+        if self.unplaced:
+            raise ValueError("delete needs a game that placed every copy; this one spent room")
         left = self.copies
         for tail, head in ((u, v), (v, u)):
             arcs = self.out[tail]

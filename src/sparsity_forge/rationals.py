@@ -29,6 +29,3 @@ def format_rational(value: Fraction | int | None) -> str | None:
 def ceil_fraction(value: Fraction) -> int:
     return -((-value.numerator) // value.denominator)
 
-
-def floor_fraction(value: Fraction) -> int:
-    return value.numerator // value.denominator

@@ -9,18 +9,21 @@ is the canonical (2, -3)-tight example).  For edgeless subgraphs the bound
 is slack whenever 2a + b >= 1, and parameters with 2a + b < 1 are rejected
 as pathological, so the two-vertex floor loses nothing.
 
-All decisions run on exact rationals.  For b <= 0 the verdict comes from one
-scaled pebble sweep at (a, b) (Lee & Streinu): the graph is sparse exactly
-when every edge is accepted.  The certificate's numbers are exact all the
-same; they are computed the first time one is read.  A positive maximum of
-e(G[U]) - a|U| is computed by min-cut over the standard edge/vertex
+All decisions run on exact rationals.  For every b the verdict comes from
+one scaled pebble sweep at (a, b) (Lee & Streinu; for b > 0 the elongated
+game, after Whiteley): the graph is sparse exactly when every edge is
+accepted.  The certificate's numbers are exact all the same, for both
+verdicts; they are computed the first time one is read.  A positive maximum
+of e(G[U]) - a|U| is computed by min-cut over the standard edge/vertex
 selection network; a maximum at or below zero is pinned down exactly by
 gathering pebbles on a game that has accepted every edge (see max_violation,
-which also states the witness conventions).
+which also states the witness conventions).  The density indices m, m2 and
+the pair density are one Dinkelbach ascent over max_violation.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -29,7 +32,7 @@ from .errors import PathologicalParametersError
 from .graphs import Graph, VertexSet
 from .mincut import selection_max
 from .pebble import PebbleGame
-from .rationals import ceil_fraction, floor_fraction, format_rational
+from .rationals import ceil_fraction, format_rational
 
 RationalLike = Fraction | int
 
@@ -60,14 +63,6 @@ class SparsityParams:
     def pathological(self) -> bool:
         return self._pathological
 
-    @property
-    def k(self) -> int:
-        return floor_fraction(self.a)
-
-    @property
-    def eps(self) -> Fraction:
-        return self.a - self.k
-
     def __repr__(self) -> str:
         return f"SparsityParams({format_rational(self.a)}, {format_rational(self.b)})"
 
@@ -82,9 +77,9 @@ class SparsityCertificate:
     two vertices satisfy every bound vacuously and carry None in the two
     numeric fields.
 
-    A sparse verdict that is_sparse reached by a pebble sweep arrives without
-    these three fields: the exact maximum and its witness are computed the
-    first time any of them is read, and kept.
+    A certificate from is_sparse arrives without these three fields, for
+    either verdict: the exact maximum and its witness are computed the first
+    time any of them is read, and kept.
     """
 
     sparse: bool
@@ -94,20 +89,20 @@ class SparsityCertificate:
     params: SparsityParams
 
     @classmethod
-    def _sparse_exact_on_read(
-        cls, params: SparsityParams, exact: Callable[[], tuple[Fraction, VertexSet]]
+    def _exact_on_read(
+        cls, sparse: bool, params: SparsityParams, exact: Callable[[], tuple[Fraction, VertexSet]]
     ) -> "SparsityCertificate":
-        """A sparse certificate whose numeric fields come from ``exact()``, which
+        """A certificate whose numeric fields come from ``exact()``, which
         returns the maximum of e(G[U]) - a|U| and a witness attaining it."""
         cert = object.__new__(cls)
-        object.__setattr__(cert, "sparse", True)
+        object.__setattr__(cert, "sparse", sparse)
         object.__setattr__(cert, "params", params)
         object.__setattr__(cert, "_exact", exact)
         return cert
 
     def __getattr__(self, name: str):
         # reached only for an attribute the instance lacks: the three fields
-        # of a _sparse_exact_on_read certificate before their first read
+        # of an _exact_on_read certificate before their first read
         exact = self.__dict__.get("_exact")
         if exact is None or name not in ("witness", "max_violation", "min_potential"):
             raise AttributeError(name)
@@ -117,6 +112,11 @@ class SparsityCertificate:
         object.__setattr__(self, "min_potential", -m)
         del self.__dict__["_exact"]
         return self.__dict__[name]
+
+    def __reduce__(self):
+        # a pickle or copy reads the numbers: an _exact_on_read closure cannot travel
+        fields = (self.witness, self.max_violation, self.min_potential)
+        return SparsityCertificate, (self.sparse, *fields, self.params)
 
     @property
     def verdict(self) -> str:
@@ -169,9 +169,9 @@ def max_violation(
     vertex is returned with value -a.
 
     ``_accepted`` lets is_sparse hand over its scaled game once that game has
-    accepted every edge of g, in place of a zero-slack sweep (gather counts
-    and stalled regions do not depend on the game's l or on its orientation,
-    so the answer is the same).
+    placed every copy of every edge of g, in place of a zero-slack sweep
+    (gather counts and stalled regions do not depend on the game's l or on
+    its orientation, so the answer is the same).
     """
     a = Fraction(a)
     if a <= 0:
@@ -194,7 +194,11 @@ def max_violation(
                 return Fraction(0), VertexSet(g, umax)
         game = PebbleGame.scaled(g.n, a, 0)
         if not all(game.insert(u, v) for u, v in g.edges):
-            return _positive_max(g, p, q)
+            # refused at zero slack: positive, witnessed by the minimal cut side
+            value, umin, _ = selection_max(g.n, g.edges, p, q)
+            if value <= 0:
+                raise AssertionError("pebble engine and min cut disagree")
+            return Fraction(value, q), VertexSet(g, umin)
     best = None
     region: list[int] = []
     for u, v in g.edges:
@@ -220,23 +224,15 @@ def max_violation(
     return value, VertexSet(g, game.last_region)
 
 
-def _positive_max(g: Graph, p: int, q: int) -> tuple[Fraction, VertexSet]:
-    """The maximum once a zero-slack refusal has proved it positive; the
-    minimal min-cut source side is the witness convention."""
-    value, umin, _ = selection_max(g.n, g.edges, p, q)
-    if value <= 0:
-        raise AssertionError("pebble engine and min cut disagree")
-    return Fraction(value, q), VertexSet(g, umin)
-
-
 def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:
     """Decide (a, b)-sparsity and return the witness certificate.
 
-    For b <= 0 one pebble sweep at (a, b) gives the verdict.  When it accepts
-    every edge, the certificate's witness and numbers are computed exactly
-    on first read.  A refusal at b = 0 proves the maximum positive, and one
-    min-cut gives it; a refusal at b < 0, and every b > 0, go through
-    max_violation at once.
+    One scaled pebble sweep at (a, b) gives the verdict for every b: the
+    graph is sparse iff the game accepts every edge (for b > 0 the elongated
+    game, which may leave up to b*q edge copies unplaced).  For both verdicts
+    the certificate's witness and numbers are exact, and computed by
+    max_violation the first time one of them is read; a game that placed
+    every copy is handed over in place of a fresh zero-slack sweep.
     """
     if params.pathological:
         raise PathologicalParametersError(
@@ -250,19 +246,11 @@ def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:
             min_potential=None,
             params=params,
         )
-    a, b = params.a, params.b
-    if b <= 0:
-        game = PebbleGame.scaled(g.n, a, b)
-        if all(game.insert(u, v) for u, v in g.edges):
-            return SparsityCertificate._sparse_exact_on_read(
-                params, lambda: max_violation(g, a, _accepted=game)
-            )
-    if b == 0:  # the sweep refused an edge at zero slack
-        m, u = _positive_max(g, a.numerator, a.denominator)
-    else:
-        m, u = max_violation(g, a)
-    return SparsityCertificate(
-        sparse=m <= b, witness=u, max_violation=m - b, min_potential=-m, params=params
+    game = PebbleGame.scaled(g.n, params.a, params.b)
+    sparse = all(game.insert(u, v) for u, v in g.edges)
+    accepted = game if sparse and not game.unplaced else None
+    return SparsityCertificate._exact_on_read(
+        sparse, params, lambda: max_violation(g, params.a, _accepted=accepted)
     )
 
 
@@ -278,29 +266,34 @@ def is_tight(g: Graph, params: SparsityParams) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def m_of(g: Graph) -> Fraction:
-    """Maximum subgraph density max e(J)/v(J); equals min m with g (m, 0)-sparse.
+def _max_ratio(g: Graph, d: Fraction | int, c: Fraction | int, lam: Fraction) -> Fraction:
+    """max (e(U) - d) / (|U| - c) over vertex sets U on >= 2 vertices, c < |U|,
+    by a Dinkelbach ascent from a lower bound 0 < lam <= the maximum.
 
-    Ascending exact iteration: evaluate max_violation at the current density;
-    a positive violation hands back a denser subgraph, zero means optimal.
-    Candidate densities have denominator at most n, so this terminates.
+    (e(U) - d) / (|U| - c) > lam exactly when e(U) - lam|U| > d - lam*c, so
+    while max_violation(g, lam) finds such a U, lam rises to its ratio; when
+    none violates, lam is the maximum.  Each step strictly raises lam, and
+    there are finitely many ratios, so this terminates.
     """
+    while True:
+        viol, u = max_violation(g, lam)
+        if viol <= d - lam * c:
+            return lam
+        lam = Fraction(g.induced_edge_count(u.ids) - d) / (len(u) - c)
+
+
+def m_of(g: Graph) -> Fraction:
+    """Maximum subgraph density max e(J)/v(J); equals min m with g (m, 0)-sparse."""
     if g.e == 0:
         raise ValueError("density of an edgeless graph is not defined")
-    a = Fraction(g.e, g.n)
-    while True:
-        m, u = max_violation(g, a)
-        if m > 0:
-            a = Fraction(g.induced_edge_count(u.ids), len(u))
-        else:
-            return a
+    return _max_ratio(g, 0, 0, Fraction(g.e, g.n))
 
 
 def m2_of(g: Graph) -> Fraction:
     """max (e(J)-1)/(v(J)-2) over subgraphs on >= 3 vertices.
 
-    Equals min m with g (m, 1-2m)-sparse, which is how the ascent below
-    queries it: the violation shift by (2m - 1) does not move the argmax.
+    Equals min m with g (m, 1-2m)-sparse.  A two-vertex set never violates
+    (m, 1-2m) for m >= 1/2, so the ascent only meets sets on >= 3 vertices.
     """
     if g.n < 3:
         raise ValueError("m2 needs a subgraph on at least 3 vertices")
@@ -308,47 +301,30 @@ def m2_of(g: Graph) -> Fraction:
         return Fraction(-1, g.n - 2)
     if g.e == 1:
         return Fraction(0)
-    m = Fraction(1, 2)  # two edges span at most 4 vertices, so m2 >= 1/2
-    while True:
-        viol, u = max_violation(g, m)
-        if viol > 1 - 2 * m:
-            if len(u) < 3:
-                raise AssertionError("two-vertex sets cannot violate (m, 1-2m)")
-            m = Fraction(g.induced_edge_count(u.ids) - 1, len(u) - 2)
-        else:
-            return m
+    # two edges span at most 4 vertices, so m2 >= 1/2
+    return _max_ratio(g, 1, 2, Fraction(1, 2))
 
 
-def m2_pair(h1: Graph, h2: Graph, max_vertices: int = 16) -> Fraction:
+def m2_pair(h1: Graph, h2: Graph, max_vertices: int | None = None) -> Fraction:
     """max e(J) / (v(J) - 2 + 1/m2(h2)) over subgraphs J of h1 on >= 2 vertices.
 
-    Desk-scale subset enumeration over h1 (induced subgraphs dominate).
+    ``max_vertices`` is deprecated and ignored: the ascent has no size cap.
     """
-    if h1.n > max_vertices:
-        raise ValueError(f"m2_pair enumerates subsets; limit is n <= {max_vertices}")
+    if max_vertices is not None:
+        warnings.warn(
+            "m2_pair no longer enumerates subsets; max_vertices is ignored",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+    if h1.n < 2:
+        raise ValueError("m2_pair needs a first graph on at least 2 vertices")
     m2h2 = m2_of(h2)
     if m2h2 <= 0:
         raise ValueError("second graph has nonpositive m2; pairing undefined")
-    shift = 1 / m2h2
-    adj_mask = [0] * h1.n
-    for u, v in h1.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
-    best: Fraction | None = None
-    edge_count = [0] * (1 << h1.n)
-    for mask in range(1, 1 << h1.n):
-        low = mask & (-mask)
-        rest = mask ^ low
-        v = low.bit_length() - 1
-        edge_count[mask] = edge_count[rest] + (adj_mask[v] & rest).bit_count()
-        size = mask.bit_count()
-        if size < 2:
-            continue
-        value = Fraction(edge_count[mask]) / (size - 2 + shift)
-        if best is None or value > best:
-            best = value
-    assert best is not None
-    return best
+    if h1.e == 0:
+        return Fraction(0)
+    # a lone edge scores 1 / (1/m2(h2)) = m2(h2)
+    return _max_ratio(h1, 0, 2 - 1 / m2h2, m2h2)
 
 
 # ---------------------------------------------------------------------------

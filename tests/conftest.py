@@ -16,6 +16,18 @@ def random_graph(rng: random.Random, n: int, p: float) -> sf.Graph:
     return sf.Graph(n, edges)
 
 
+def plus_edges(g: sf.Graph, count: int, rng: random.Random) -> sf.Graph:
+    """g with ``count`` more random edges: near g's density they break
+    (a, 0)-sparsity while (a, b) with b > 0 may still hold."""
+    edges = set(g.edges)
+    while count:
+        u, v = sorted(rng.sample(range(g.n), 2))
+        if (u, v) not in edges:
+            edges.add((u, v))
+            count -= 1
+    return sf.Graph(g.n, sorted(edges))
+
+
 @lru_cache(maxsize=None)
 def atlas_graphs(max_n: int = 7) -> tuple[sf.Graph, ...]:
     """Every graph on 1..max_n vertices up to isomorphism (max_n <= 7)."""

@@ -15,7 +15,7 @@ import pytest
 import sparsity_forge as sf
 from sparsity_forge.instances import random_sparse_graph
 
-from conftest import random_graph
+from conftest import plus_edges, random_graph
 
 
 def _digest(text: str) -> str:
@@ -227,3 +227,19 @@ def test_large_density_index_digest():
     for n in (52, 80):
         out.append([str(sf.m_of(_two_k4s(n))), str(sf.m2_of(_two_k4s(n)))])
     assert _digest(json.dumps(out)) == "4b3dfdad9bfad43b"
+
+
+def test_rational_positive_slack_certificate_digest():
+    # b > 0 with denominators 3, 2 and 5 against a with denominators 4, 7, 6
+    # and 1, on hosts below and above n = 40
+    rng = random.Random(28)
+    hosts = []
+    for n in (30, 60):
+        g = random_sparse_graph(n, Fraction(12, 7), rng)
+        hosts += [g, plus_edges(g, 1, rng), plus_edges(g, 3, rng)]
+        g = random_sparse_graph(n, 2, rng)  # (2, 0)-tight
+        hosts += [plus_edges(g, 1, rng), plus_edges(g, 2, rng)]
+    hosts += [random_graph(rng, 36, 0.1), random_graph(rng, 90, 0.04)]
+    params = [(a, b) for a in (Fraction(5, 4), Fraction(12, 7), Fraction(13, 6), Fraction(2))
+              for b in (Fraction(1, 3), Fraction(3, 2), Fraction(7, 5))]
+    assert _certificates(hosts, params) == "aee22058bc7cfe09"

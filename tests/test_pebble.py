@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,14 +49,18 @@ def _brute_min_slack(game: PebbleGame, edges: set, u: int, v: int) -> tuple[int,
 @given(st.data())
 def test_keyless_game_matches_brute_force(data):
     # denominators up to 10 each: games with lcm(q_a, q_b) copies per edge
-    # (12 at a = p/4, b = -j/3), where one path can carry several pebbles
+    # (12 at a = p/4, b = -j/3), where one path can carry several pebbles.
+    # b > 0 plays the elongated game, insert-only: its spent room is final
     n = data.draw(st.integers(2, 7), label="n")
     a = data.draw(st.fractions(Fraction(1, 2), 3, max_denominator=10), label="a")
-    b = -data.draw(st.fractions(0, 2 * a - 1, max_denominator=10), label="-b")
+    if data.draw(st.booleans(), label="b > 0"):
+        b = data.draw(st.fractions(Fraction(1, 10), 3, max_denominator=10), label="b")
+    else:
+        b = -data.draw(st.fractions(0, 2 * a - 1, max_denominator=10), label="-b")
     game = PebbleGame.scaled(n, a, b)
     edges: set[tuple[int, int]] = set()
     for _ in range(data.draw(st.integers(0, 25), label="steps")):
-        if edges and data.draw(st.booleans()):
+        if b <= 0 and edges and data.draw(st.booleans()):
             u, v = data.draw(st.sampled_from(sorted(edges)))
             game.delete(u, v)
             edges.remove((u, v))
@@ -65,6 +70,17 @@ def test_keyless_game_matches_brute_force(data):
             if (u, v) in edges:
                 continue
             expected = sf.brute_sparse(sf.Graph(n, edges | {(u, v)}), a, b).sparse
+            if b > 0:
+                room_before = game.room
+                accepted = game.insert(u, v)
+                assert accepted == expected
+                if accepted:
+                    edges.add((u, v))
+                else:
+                    assert game.room == room_before
+                placed = sum(_undirected_arcs(game).values())
+                assert placed + game.unplaced == game.copies * len(edges)
+                continue
             assert game.insertable(u, v) == expected
             _assert_consistent(game, edges)
             free_before = sum(game.pebbles)
@@ -86,3 +102,19 @@ def test_keyless_game_matches_brute_force(data):
         assert game.gather_max(x, y) == slack
         assert game.last_region == smallest
         _assert_consistent(game, edges)
+
+
+def test_delete_refuses_a_game_that_spent_room():
+    # K4 is (1, 3)-sparse but not (1, 0)-sparse: the elongated game leaves
+    # two of its six edges' copies unplaced, and a delete could not tell
+    # which copies of which edge are missing
+    game = PebbleGame.scaled(4, 1, 3)
+    assert game.room == 3
+    assert all(game.insert(u, v) for u, v in combinations(range(4), 2))
+    assert (game.room, game.unplaced) == (1, 2)
+    with pytest.raises(ValueError, match="spent room"):
+        game.delete(0, 1)
+    game = PebbleGame.scaled(4, 1, 3)
+    game.insert(0, 1)
+    game.delete(0, 1)  # nothing unplaced yet: the all-copies contract holds
+    assert game.out == [dict() for _ in range(4)]

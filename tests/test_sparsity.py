@@ -1,5 +1,7 @@
 """Exact sparsity decisions, density indices, and the slack function."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -13,7 +15,7 @@ from sparsity_forge import sparsity
 from sparsity_forge.errors import PathologicalParametersError
 from sparsity_forge.instances import random_sparse_graph
 
-from conftest import random_graph
+from conftest import plus_edges, random_graph
 
 
 def test_potential_k2_matches_closed_form():
@@ -180,6 +182,34 @@ def test_m2_pair_examples():
     k3, k4 = sf.complete_graph(3), sf.complete_graph(4)
     assert sf.m2_pair(k3, k3) == 2
     assert sf.m2_pair(k4, k3) == Fraction(12, 5)
+    # 120 / (14 + 2/5): past the old 16-vertex enumeration cap
+    assert sf.m2_pair(sf.complete_graph(16), k4) == Fraction(25, 3)
+    assert sf.m2_pair(sf.Graph(5, []), k3) == 0
+
+
+def test_m2_pair_on_more_than_16_vertices(rng):
+    # three disjoint 7-vertex blocks: with 0 <= 2 - 1/m2(h2) < 2, a union of
+    # disjoint sets never beats its best part, so the blocks' own
+    # enumerations give the pair density of the 21-vertex graph
+    h2 = sf.complete_graph(4)
+    shift = 1 / sf.m2_of(h2)
+    blocks = [random_graph(rng, 7, 0.3 + 0.2 * i) for i in range(3)]
+    h1 = sf.Graph(21, [(u + 7 * i, v + 7 * i) for i, blk in enumerate(blocks) for u, v in blk.edges])
+    best = max(
+        Fraction(blk.induced_edge_count(c)) / (len(c) - 2 + shift)
+        for blk in blocks
+        for r in range(2, 8)
+        for c in combinations(range(7), r)
+    )
+    assert sf.m2_pair(h1, h2) == best
+
+
+def test_m2_pair_rejects_tiny_first_graph_and_deprecates_cap():
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            sf.m2_pair(sf.Graph(n, []), sf.complete_graph(3))
+    with pytest.warns(DeprecationWarning, match="max_vertices"):
+        assert sf.m2_pair(sf.complete_graph(20), sf.complete_graph(3), max_vertices=16) == Fraction(380, 37)
 
 
 def test_m2_pair_vs_enumeration_and_monotonicity(rng):
@@ -314,8 +344,9 @@ def graphs_and_params(draw):
     pairs = list(combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     a = Fraction(draw(st.integers(1, 16)), draw(st.integers(1, 4)))
-    # b's own denominator makes the scaled game's copies an lcm with a's
-    b = Fraction(draw(st.integers(-12, 6)), draw(st.integers(1, 5)))
+    # b's own denominator makes the scaled game's copies an lcm with a's; for
+    # b > 0 the elongated game may leave up to b times that many unplaced
+    b = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 10)))
     assume(2 * a + b >= 1)
     return sf.Graph(n, edges), a, b
 
@@ -344,15 +375,35 @@ def test_is_sparse_matches_brute_force_property(case):
             assert g.induced_edge_count(w.ids) - a * len(w) == -slow.min_potential
 
 
+def test_certificates_pickle_and_copy_with_their_numbers():
+    # both verdicts, and the refusal a NotSparseError carries
+    for g, a, b in ((sf.complete_graph(4), 1, 3), (sf.complete_graph(4), 1, 0),
+                    (random_sparse_graph(50, 2, random.Random(3)), 2, 0)):
+        cert = sf.is_sparse(g, sf.SparsityParams(a, b))
+        for twin in (pickle.loads(pickle.dumps(cert)), copy.copy(cert)):
+            assert twin == cert and twin.to_json_dict() == cert.to_json_dict()
+    with pytest.raises(sf.NotSparseError) as info:
+        sf.decompose_ksw(sf.complete_graph(7), Fraction(5, 2))
+    twin = pickle.loads(pickle.dumps(info.value))
+    assert twin.certificate.to_json_dict() == info.value.certificate.to_json_dict()
+
+
 def test_decision_only_callers_never_compute_the_maximum(monkeypatch):
     calls = []
+    cuts = []
     exact = sparsity.max_violation
+    cut = sparsity.selection_max
 
     def spy(*args, **kwargs):
         calls.append(args)
         return exact(*args, **kwargs)
 
+    def cut_spy(*args, **kwargs):
+        cuts.append(args)
+        return cut(*args, **kwargs)
+
     monkeypatch.setattr(sparsity, "max_violation", spy)
+    monkeypatch.setattr(sparsity, "selection_max", cut_spy)
     rng = random.Random(4)
     # one host per regime of the decomposition, either side of n = 40
     for m, n in ((Fraction(3, 2), 30), (Fraction(19, 10), 45), (Fraction(5, 2), 35),
@@ -369,3 +420,34 @@ def test_decision_only_callers_never_compute_the_maximum(monkeypatch):
         assert (cert.witness, cert.max_violation, cert.min_potential) == (witness, value + 1, -value)
         assert len(calls) == 1
         calls.clear()
+    # refusing gates, either side of n = 40 and at b = 0 and b > 0: the
+    # error carries an unread certificate, and reading it costs one maximum
+    refusals = []
+    for g, m in ((sf.complete_graph(7), Fraction(5, 2)),
+                 (plus_edges(random_sparse_graph(50, 2, rng), 2, rng), Fraction(19, 10))):
+        with pytest.raises(sf.NotSparseError) as info:
+            sf.decompose_ksw(g, m)
+        refusals.append(info.value.certificate)
+    for g, sides in ((sf.complete_graph(6), (1, -1, 1, 1)),
+                     (plus_edges(random_sparse_graph(45, 2, rng), 3, rng), (1, 0, 1, 1))):
+        with pytest.raises(sf.NotSparseError) as info:
+            sf.partition_sparse(g, *sides)
+        refusals.append(info.value.certificate)
+    assert calls == [] and cuts == []
+    for cert in refusals:
+        assert not cert.sparse
+        assert cert.max_violation > 0 and len(calls) == 1
+        assert cert.to_json_dict()["witness"] == cert.witness.sorted() and len(calls) == 1
+        calls.clear()
+    cuts.clear()
+    # b > 0 independence tests, accepted and refused, read no certificate
+    refused = 0
+    for g in (random_sparse_graph(30, 2, rng), plus_edges(random_sparse_graph(50, 2, rng), 2, rng)):
+        for a, b in ((1, 1), (2, 1), (1, 2)):
+            o = sf.make_oracle(g, a, b)
+            ids = []
+            for eid in range(g.e):
+                if o.is_independent(sf.EdgeSet(g, ids + [eid])):
+                    ids.append(eid)
+            refused += g.e - len(ids)
+    assert refused and calls == [] and cuts == []
