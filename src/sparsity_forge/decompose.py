@@ -62,17 +62,19 @@ class Decomposition:
 
 
 def _case(k: int, eps: Fraction) -> str:
+    # eps = p/q: each threshold compared by integer cross-multiplication
+    p, q = eps.numerator, eps.denominator
     if k == 1:
-        return CASE_SMALL_TWO_FORESTS if eps < Fraction(4, 5) else CASE_SMALL_TRIANGLE_FREE
-    if eps < Fraction(3, 2 * k + 2):
+        return CASE_SMALL_TWO_FORESTS if 5 * p < 4 * q else CASE_SMALL_TRIANGLE_FREE
+    if p * (2 * k + 2) < 3 * q:  # eps < 3/(2k+2)
         return CASE_A
-    if eps < Fraction(1, 2):
+    if 2 * p < q:  # eps < 1/2
         return CASE_B
-    if eps < Fraction(k + 3, 2 * k + 3):
+    if p * (2 * k + 3) < (k + 3) * q:  # eps < (k+3)/(2k+3)
         return CASE_C
-    if eps <= Fraction(3, 4):
+    if 4 * p <= 3 * q:  # eps <= 3/4
         return CASE_D1
-    if eps >= Fraction(k + 4, 2 * k + 3):
+    if p * (2 * k + 3) >= (k + 4) * q:  # eps >= (k+4)/(2k+3)
         return CASE_D2
     return CASE_D3
 

@@ -79,8 +79,26 @@ class Graph:
         return [i for i, (u, v) in enumerate(self.edges) if u in vs and v in vs]
 
     def edge_subgraph(self, edge_ids: Iterable[int]) -> "Graph":
-        """Subgraph keeping all n vertices and the given edges (ids reassigned)."""
-        return Graph(self.n, [self.edges[i] for i in edge_ids])
+        """Subgraph keeping all n vertices and the given edges (ids reassigned).
+
+        The ids must name distinct edges of this graph: a negative, too
+        large or repeated id raises ValueError.  The host's pairs are
+        canonical and sorted, so taking them in ascending id order already
+        gives the subgraph's canonical edge list; nothing is checked or
+        sorted again.
+        """
+        ids = sorted(edge_ids)
+        e = len(self.edges)
+        if ids and (ids[0] < 0 or ids[-1] >= e):
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise ValueError(f"edge id {bad} out of range for a host with e={e}")
+        if len(set(ids)) < len(ids):
+            bad = next(i for i, j in zip(ids, ids[1:]) if i == j)
+            raise ValueError(f"edge id {bad} repeated")
+        sub = object.__new__(Graph)
+        object.__setattr__(sub, "n", self.n)
+        object.__setattr__(sub, "edges", tuple([self.edges[i] for i in ids]))
+        return sub
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, e={self.e})"

@@ -233,6 +233,16 @@ class PebbleCountEngine:
     For b > 0 the (a, b) matroid is the (a, 0) one elongated by b: an (a, 0)
     game plus up to b ``spare`` members it refuses.  The game holds an
     (a, 0) basis of the members, and ``len(spare)`` is their nullity.
+
+    The union of the spare edges' stalled regions is read only while
+    ``spare`` is full, and it is kept until the next delete.  A region is
+    the minimal tight set through a spare edge's ends; it depends on the
+    game's edges, not on their orientation.  While ``spare`` is full, only a
+    delete changes those edges or ``spare``: a refused insert or a circuit
+    query leaves them as they were, and an insert the game accepts lies
+    inside no tight set.  Such an edge leaves every minimal tight set R as
+    it was: a tight set T through the same ends meets R in a tight set
+    without the new edge, which was tight before, so it is all of R.
     """
 
     def __init__(self, host: Graph, a: int, b: int):
@@ -241,6 +251,7 @@ class PebbleCountEngine:
         self.room = max(b, 0)
         self.spare: list[int] = []
         self.members: set[int] = set()
+        self._spare_region: set[int] | None = None  # None: not computed yet
 
     def insert(self, eid: int, u: int, v: int) -> list[int] | None:
         if not self.game.insert(u, v):
@@ -252,6 +263,7 @@ class PebbleCountEngine:
 
     def delete(self, eid: int) -> None:
         self.members.remove(eid)
+        self._spare_region = None
         if eid in self.spare:
             self.spare.remove(eid)
             return
@@ -271,9 +283,13 @@ class PebbleCountEngine:
         """Members inside the minimal tight set through u and v: the last
         refused gather's region joined with each spare edge's stalled one."""
         inside = set(self.game.last_region)
-        for spare_eid in self.spare:
-            self.game.gather_max(*self.host.edges[spare_eid], stop_at=1)
-            inside.update(self.game.last_region)
+        if self._spare_region is None:
+            region: set[int] = set()
+            for spare_eid in self.spare:
+                self.game.gather_max(*self.host.edges[spare_eid], stop_at=1)
+                region.update(self.game.last_region)
+            self._spare_region = region
+        inside |= self._spare_region
         return sorted(eid for eid in self.members if inside.issuperset(self.host.edges[eid]))
 
 

@@ -21,6 +21,11 @@ The game is a capacitated augmenting-path search (Gabow & Westermann,
 one path found by a DFS moves as many pebbles as its bottleneck
 multiplicity allows.  An insert gathers l + copies pebbles in one go and
 only then places its copies, so a refused insert places nothing.
+
+Two shortcuts keep every move the DFS would make and skip its cost: a
+pebble one arc away moves by a scan of the target's out-arcs (one-hop
+move), and an end whose search stalled is not searched again within the
+same gather (a stalled end stays stalled; ``_gather`` has the proof).
 """
 
 from __future__ import annotations
@@ -65,10 +70,11 @@ class PebbleGame:
         blow-up's nullity in the (a*q, 0) count matroid, the copies the game
         leaves unplaced, is at most its ``room`` b*q.
         """
-        a, b = Fraction(a), Fraction(b)
-        q = lcm(a.denominator, b.denominator)
-        # integer arithmetic: is_sparse builds one of these per decision
-        k, l = a.numerator * (q // a.denominator), -b.numerator * (q // b.denominator)
+        # integer arithmetic on the numerators and denominators ints have too:
+        # is_sparse builds one of these per decision
+        ad, bd = a.denominator, b.denominator
+        q = lcm(ad, bd)
+        k, l = a.numerator * (q // ad), -b.numerator * (q // bd)
         game = cls(n, k, l if l > 0 else 0, copies=q)
         game.room = -l if l < 0 else 0
         return game
@@ -82,15 +88,43 @@ class PebbleGame:
         pebble; the path then carries min(want, that vertex's pebbles, its
         smallest arc multiplicity) pebbles, the count returned.  On a stall
         (0) the current stamp marks the region reached from ``target``.
+
+        One-hop move: a DFS scans every out-neighbour of ``target`` before
+        it goes deeper, so the first such neighbour holding a pebble is the
+        vertex it would stop at.  That case is handled by one scan of
+        ``out[target]``, with no stamp, stack or ``prev``; the deeper search
+        starts from the state the DFS reaches after that scan.
         """
+        pebbles = self.pebbles
+        out = self.out
+        arcs = out[target]
+        for y in arcs:
+            amount = pebbles[y]
+            if amount and y != u and y != v:
+                if amount > want:
+                    amount = want
+                left = arcs[y]
+                if left > amount:
+                    arcs[y] = left - amount
+                else:
+                    amount = left
+                    del arcs[y]
+                back = out[y]
+                back[target] = back.get(target, 0) + amount
+                pebbles[y] -= amount
+                pebbles[target] += amount
+                return amount
         self._stamp += 1
         stamp = self._stamp
         mark = self._mark
-        prev = self._prev
-        pebbles = self.pebbles
-        out = self.out
         mark[target] = stamp
-        stack = [target]
+        if not arcs:  # holds all k pebbles; its region is itself
+            return 0
+        prev = self._prev
+        for y in arcs:
+            mark[y] = stamp
+            prev[y] = target
+        stack = list(arcs)
         found = -1
         while stack:
             x = stack.pop()
@@ -140,21 +174,46 @@ class PebbleGame:
         a double stall ``last_region`` holds everything reached from u or v.
         This is the loop behind gather_max; insert calls it directly, so that
         timing or tracing gather_max does not also count every insert.
+
+        Pebbles are collected onto u until u stalls, then onto v only: a
+        stalled end stays stalled.  u's stalled region R is closed under
+        out-arcs and holds no pebble outside {u, v}.  A path found from v
+        therefore never enters R, since from R it could reach only vertices
+        of R, never the pebble it ends at; and reversing a path changes the
+        out-arcs of the path's own vertices only.  So R keeps its out-arcs
+        and its pebbles, and u would stall again on the same region.  After
+        v moved pebbles, v's searches have overwritten part of R's marks, so
+        on a double stall u is searched once more to mark R again; that
+        search moves nothing.
         """
         pebbles = self.pebbles
-        while pebbles[u] + pebbles[v] < stop_at:
-            want = stop_at - pebbles[u] - pebbles[v]
-            if self._collect(u, u, v, want):
-                continue
+        have = pebbles[u] + pebbles[v]
+        while have < stop_at:
+            got = self._collect(u, u, v, stop_at - have)
+            if not got:
+                break
+            have += got
+        else:
+            return have
+        stamp_u = self._stamp
+        v_moved = False
+        while have < stop_at:
+            got = self._collect(v, u, v, stop_at - have)
+            if not got:
+                break
+            have += got
+            v_moved = True
+        else:
+            return have
+        stamp_v = self._stamp
+        if v_moved:
+            self._collect(u, u, v, stop_at - have)
             stamp_u = self._stamp
-            if self._collect(v, u, v, want):
-                continue
-            mark, stamp_v = self._mark, self._stamp
-            self.last_region = [
-                w for w in range(self.n) if mark[w] == stamp_u or mark[w] == stamp_v
-            ]
-            break
-        return pebbles[u] + pebbles[v]
+        mark = self._mark
+        self.last_region = [
+            w for w in range(self.n) if mark[w] == stamp_u or mark[w] == stamp_v
+        ]
+        return have
 
     # -- public surface -----------------------------------------------------
 
@@ -194,7 +253,10 @@ class PebbleGame:
         if u == v:
             raise ValueError("loops are never sparse here")
         pebbles, out, copies = self.pebbles, self.out, self.copies
-        short = self.l + copies - self._gather(u, v, self.l + copies)
+        need = self.l + copies
+        have = pebbles[u] + pebbles[v]
+        # ends that already hold enough pebbles need no gather
+        short = need - (have if have >= need else self._gather(u, v, need))
         if short > 0:
             if short > self.room:
                 return False

@@ -32,7 +32,7 @@ from .errors import PathologicalParametersError
 from .graphs import Graph, VertexSet
 from .mincut import selection_max
 from .pebble import PebbleGame
-from .rationals import ceil_fraction, format_rational
+from .rationals import format_rational
 
 RationalLike = Fraction | int
 
@@ -335,22 +335,23 @@ def m2_pair(h1: Graph, h2: Graph, max_vertices: int | None = None) -> Fraction:
 def forest_slack(k: int, eps: RationalLike) -> int:
     """The integer s such that every (k+eps, 0)-sparse graph is (k+1, -s)-sparse.
 
-    Four-interval definition evaluated with exact rational comparisons,
-    first match wins top to bottom; capped at 2k, which is the edge of the
-    usable matroid range at (k, 1-2k).
+    Four-interval definition evaluated with exact comparisons, first match
+    wins top to bottom; capped at 2k, which is the edge of the usable
+    matroid range at (k, 1-2k).  With eps = p/q, every comparison and
+    ceiling is on integers, cross-multiplied by q.
     """
-    eps = Fraction(eps)
+    p, q = eps.numerator, eps.denominator  # ints have both
     if k < 1:
         raise ValueError("need k >= 1")
-    if not (0 <= eps < 1):
+    if not (0 <= p < q):
         raise ValueError("need 0 <= eps < 1")
-    if eps * (2 * k + 2) < 2:
+    if p * (2 * k + 2) < 2 * q:  # eps < 1/(k+1)
         return 2 * k
-    if eps < Fraction(1, 2):
-        return ceil_fraction((2 * k + 2) * (1 - eps))
-    if eps < Fraction(k + 2, 2 * k + 3):
+    if 2 * p < q:  # eps < 1/2: ceil((2k+2)(1-eps))
+        return -(-(2 * k + 2) * (q - p) // q)
+    if p * (2 * k + 3) < (k + 2) * q:  # eps < (k+2)/(2k+3)
         return k + 1
-    return ceil_fraction((2 * k + 3) * (1 - eps))
+    return -(-(2 * k + 3) * (q - p) // q)  # ceil((2k+3)(1-eps))
 
 
 f = forest_slack

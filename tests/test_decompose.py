@@ -1,5 +1,6 @@
 """End-to-end forest-plus-sparse decompositions and their verification."""
 
+import math
 import random
 import sys
 from collections import Counter
@@ -88,6 +89,42 @@ def test_case_labels_over_eps_regions():
         d = sf.decompose_ksw(p6, m)
         assert d.trace == label, (m, d.trace, label)
         assert bool(sf.verify_decomposition(d))
+
+
+def _case_by_fractions(k: int, eps: Fraction) -> str:
+    if k == 1:
+        return "small_m_two_forests" if eps < Fraction(4, 5) else "small_m_triangle_free"
+    if eps < Fraction(3, 2 * k + 2):
+        return "large_m_case_A"
+    if eps < Fraction(1, 2):
+        return "large_m_case_B"
+    if eps < Fraction(k + 3, 2 * k + 3):
+        return "large_m_case_C"
+    if eps <= Fraction(3, 4):
+        return "large_m_case_D1"
+    if eps >= Fraction(k + 4, 2 * k + 3):
+        return "large_m_case_D2"
+    return "large_m_case_D3"
+
+
+def _slack_by_fractions(k: int, eps: Fraction) -> int:
+    if eps * (2 * k + 2) < 2:
+        return 2 * k
+    if eps < Fraction(1, 2):
+        return math.ceil((2 * k + 2) * (1 - eps))
+    if eps < Fraction(k + 2, 2 * k + 3):
+        return k + 1
+    return math.ceil((2 * k + 3) * (1 - eps))
+
+
+def test_integer_thresholds_match_their_fraction_forms():
+    # _case and forest_slack compare eps = p/q by cross-multiplication
+    grid = sorted({Fraction(p, q) for q in range(1, 61) for p in range(q)})
+    for k in range(1, 13):
+        for eps in grid:
+            assert decompose._case(k, eps) == _case_by_fractions(k, eps), (k, eps)
+            assert sf.forest_slack(k, eps) == _slack_by_fractions(k, eps), (k, eps)
+    assert sf.forest_slack(3, 0) == 6  # a plain int eps
 
 
 def test_each_host_sweep_runs_once(monkeypatch):

@@ -44,6 +44,27 @@ def test_edge_set_validation():
     assert s.spanned_vertices().sorted() == [0, 1, 2]
 
 
+def test_edge_subgraph_matches_a_fresh_graph(rng):
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 9), rng.random())
+        ids = rng.sample(range(g.e), rng.randint(0, g.e))  # any order
+        sub = g.edge_subgraph(ids)
+        assert sub == sf.Graph(g.n, [g.edges[i] for i in ids])
+        assert sub.edges == tuple(g.edges[i] for i in sorted(ids))
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [([-1], "edge id -1 out of range"), ([0, 3], "edge id 3 out of range"),
+     ([2, 0, 2], "edge id 2 repeated")],
+)
+def test_edge_subgraph_names_a_bad_id(ids, message):
+    # a negative id once picked the last edge, 3 raised IndexError and a
+    # repeat was reported as a parallel edge
+    with pytest.raises(ValueError, match=message):
+        sf.complete_graph(3).edge_subgraph(ids)
+
+
 # -- graph6 -------------------------------------------------------------------
 
 

@@ -200,6 +200,46 @@ def test_elongated_engine_matches_forced_mincut(data):
         _assert_spare_invariant(eng, members, b)
 
 
+def _fresh_circuit(host, a, b, members, u, v):
+    """The circuit of {u, v} from an engine that never answered a query."""
+    fresh = PebbleCountEngine(host, a, b)
+    for eid in sorted(members):
+        assert fresh.insert(eid, *host.edges[eid]) is None
+    return fresh.circuit(u, v)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(st.data())
+def test_cached_spare_regions_match_a_fresh_engine(data):
+    # the engine keeps the union of its spare edges' regions until its
+    # members change; refused inserts and circuit queries reuse it
+    a = data.draw(st.integers(1, 3), label="a")
+    b = data.draw(st.integers(1, 3), label="b")
+    n = data.draw(st.integers(2, 9), label="n")
+    pairs = list(combinations(range(n), 2))
+    missing = data.draw(st.sets(st.sampled_from(pairs), max_size=n), label="missing")
+    host = sf.Graph(n, [pair for pair in pairs if pair not in missing])  # dense: spare fills
+    eng = PebbleCountEngine(host, a, b)
+    members: set[int] = set()
+    for _ in range(data.draw(st.integers(0, 40), label="steps")):
+        op = data.draw(st.sampled_from(["insert", "circuit", "delete"]), label="op")
+        if op == "delete" and members:
+            eid = data.draw(st.sampled_from(sorted(members)), label="eid")
+            eng.delete(eid)
+            members.remove(eid)
+        elif len(members) < host.e:
+            eid = data.draw(st.sampled_from([e for e in range(host.e) if e not in members]))
+            u, v = host.edges[eid]
+            expected = _fresh_circuit(host, a, b, members, u, v)
+            if op == "circuit":
+                assert eng.circuit(u, v) == expected
+            else:
+                assert eng.insert(eid, u, v) == expected
+                if expected is None:
+                    members.add(eid)
+        _assert_spare_invariant(eng, members, b)
+
+
 def test_mincut_reference_takes_rational_bounds(rng):
     # the brute partition search runs its b > 0 sides on this engine
     for _ in range(40):

@@ -118,3 +118,132 @@ def test_delete_refuses_a_game_that_spent_room():
     game.insert(0, 1)
     game.delete(0, 1)  # nothing unplaced yet: the all-copies contract holds
     assert game.out == [dict() for _ in range(4)]
+
+
+class _ReferenceGame(PebbleGame):
+    """The kernel before one-hop moves and stalled-end skipping: every collect
+    is a full DFS, and u is searched again after every path found from v."""
+
+    def _collect(self, target: int, u: int, v: int, want: int) -> int:
+        self._stamp += 1
+        stamp, mark, prev, pebbles, out = self._stamp, self._mark, self._prev, self.pebbles, self.out
+        mark[target] = stamp
+        stack = [target]
+        found = -1
+        while stack:
+            x = stack.pop()
+            for y in out[x]:
+                if mark[y] == stamp:
+                    continue
+                mark[y] = stamp
+                prev[y] = x
+                if pebbles[y] > 0 and y != u and y != v:
+                    found = y
+                    stack.clear()
+                    break
+                stack.append(y)
+        if found < 0:
+            return 0
+        amount = min(pebbles[found], want)
+        y = found
+        while y != target:
+            x = prev[y]
+            amount = min(amount, out[x][y])
+            y = x
+        y = found
+        while y != target:
+            x = prev[y]
+            out[x][y] -= amount
+            if not out[x][y]:
+                del out[x][y]
+            out[y][x] = out[y].get(x, 0) + amount
+            y = x
+        pebbles[found] -= amount
+        pebbles[target] += amount
+        return amount
+
+    def _gather(self, u: int, v: int, stop_at: int) -> int:
+        pebbles = self.pebbles
+        while pebbles[u] + pebbles[v] < stop_at:
+            want = stop_at - pebbles[u] - pebbles[v]
+            if self._collect(u, u, v, want):
+                continue
+            stamp_u = self._stamp
+            if self._collect(v, u, v, want):
+                continue
+            mark, stamp_v = self._mark, self._stamp
+            self.last_region = [w for w in range(self.n) if mark[w] in (stamp_u, stamp_v)]
+            break
+        return pebbles[u] + pebbles[v]
+
+
+def _state(game: PebbleGame):
+    # arc order included: it steers every later search
+    return (list(game.pebbles), [list(arcs.items()) for arcs in game.out], list(game.last_region),
+            game.room, game.unplaced)
+
+
+def _spy_stalled_ends(game: PebbleGame) -> None:
+    """Wrap the game's kernel: within one gather, every search from an end
+    that already stalled (the extra search at a double stall included) must
+    stall again and move nothing."""
+    collect, gather = game._collect, game._gather
+    stalled: set[int] = set()
+
+    def spy_collect(target, u, v, want):
+        before = _state(game)[:2]
+        got = collect(target, u, v, want)
+        if target in stalled:
+            assert got == 0 and _state(game)[:2] == before
+        if not got:
+            stalled.add(target)
+        return got
+
+    def spy_gather(u, v, stop_at):
+        stalled.clear()
+        return gather(u, v, stop_at)
+
+    game._collect, game._gather = spy_collect, spy_gather
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.data())
+def test_kernel_moves_exactly_as_the_reference(data):
+    n = data.draw(st.integers(2, 8), label="n")
+    k = data.draw(st.integers(1, 4), label="k")
+    l = data.draw(st.integers(0, 2 * k - 1), label="l")
+    copies = data.draw(st.integers(1, 3), label="copies")
+    room = data.draw(st.integers(0, 4), label="room")
+    game, ref = PebbleGame(n, k, l, copies), _ReferenceGame(n, k, l, copies)
+    game.room = ref.room = room
+    _spy_stalled_ends(game)
+    inserted: list[tuple[int, int]] = []  # parallel inserts welcome
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    for _ in range(data.draw(st.integers(0, 40), label="steps")):
+        op = data.draw(st.sampled_from(["insert", "insert", "delete", "gather_max", "insertable"]))
+        if op == "delete":
+            if not inserted:
+                continue
+            u, v = data.draw(st.sampled_from(inserted))
+            got = _outcome(lambda: game.delete(u, v))
+            assert got == _outcome(lambda: ref.delete(u, v))
+            if got is None:
+                inserted.remove((u, v))
+        elif op == "gather_max":
+            u, v = data.draw(pair)
+            stop_at = data.draw(st.none() | st.integers(0, 2 * k + 1))
+            assert game.gather_max(u, v, stop_at) == ref.gather_max(u, v, stop_at)
+        else:
+            u, v = data.draw(pair)
+            got = _outcome(lambda: getattr(game, op)(u, v))
+            assert got == _outcome(lambda: getattr(ref, op)(u, v))
+            if op == "insert" and got is True:
+                inserted.append((u, v))
+        assert _state(game) == _state(ref)
