@@ -26,19 +26,10 @@ from fractions import Fraction
 
 from .errors import TheoremViolationError
 from .graphs import EdgeSet, Graph, VertexSet
-from .partition import partition_forest_plus
+from .partition import _forest_plus
 from .rationals import format_rational
 from .refine import ForestPartition, _acyclic, brooks_refine, eliminate_triangles
-from .sparsity import SparsityParams, forest_slack, is_sparse
-
-CASE_SMALL_TWO_FORESTS = "small_m_two_forests"
-CASE_SMALL_TRIANGLE_FREE = "small_m_triangle_free"
-CASE_A = "large_m_case_A"
-CASE_B = "large_m_case_B"
-CASE_C = "large_m_case_C"
-CASE_D1 = "large_m_case_D1"
-CASE_D2 = "large_m_case_D2"
-CASE_D3 = "large_m_case_D3"
+from .sparsity import CASE_D2, CASE_SMALL_TRIANGLE_FREE, _plan, is_sparse
 
 
 @dataclass(frozen=True)
@@ -61,24 +52,6 @@ class Decomposition:
         return out
 
 
-def _case(k: int, eps: Fraction) -> str:
-    # eps = p/q: each threshold compared by integer cross-multiplication
-    p, q = eps.numerator, eps.denominator
-    if k == 1:
-        return CASE_SMALL_TWO_FORESTS if 5 * p < 4 * q else CASE_SMALL_TRIANGLE_FREE
-    if p * (2 * k + 2) < 3 * q:  # eps < 3/(2k+2)
-        return CASE_A
-    if 2 * p < q:  # eps < 1/2
-        return CASE_B
-    if p * (2 * k + 3) < (k + 3) * q:  # eps < (k+3)/(2k+3)
-        return CASE_C
-    if 4 * p <= 3 * q:  # eps <= 3/4
-        return CASE_D1
-    if p * (2 * k + 3) >= (k + 4) * q:  # eps >= (k+4)/(2k+3)
-        return CASE_D2
-    return CASE_D3
-
-
 def decompose_ksw(g: Graph, m: Fraction | int) -> Decomposition:
     """Partition an (m, 0)-sparse graph into a forest and an (m, 1-2m)-sparse rest.
 
@@ -89,16 +62,15 @@ def decompose_ksw(g: Graph, m: Fraction | int) -> Decomposition:
     m = m if isinstance(m, Fraction) else Fraction(m)  # skip re-wrapping a Fraction
     if m <= 1:
         raise ValueError("decomposition needs m > 1")
-    k = m.numerator // m.denominator
-    eps = m - k
-    result = partition_forest_plus(g, k, eps)
-    label = _case(k, eps)
+    plan = _plan(m)
+    result = _forest_plus(g, plan)
+    label = plan.case
     f, r = result.e1, result.e2
     if label == CASE_SMALL_TRIANGLE_FREE:
         refined = eliminate_triangles(ForestPartition(g, f, r))
         f, r = refined.F, refined.R
     elif label == CASE_D2:
-        refined = brooks_refine(ForestPartition(g, f, r), k, forest_slack(k, eps))
+        refined = brooks_refine(ForestPartition(g, f, r), plan.k, plan.s)
         f, r = refined.F, refined.R
     d = Decomposition(g, f, r, m, label)
     report = verify_decomposition(d)
@@ -128,13 +100,16 @@ def verify_decomposition(d: Decomposition) -> VerificationReport:
         problems.append("F and G' do not cover E")
     if not _acyclic(g, d.F.ids):
         problems.append("F contains a cycle")
-    params = SparsityParams(d.m, 1 - 2 * d.m)
-    cert = is_sparse(g.edge_subgraph(d.Gp.ids), params)
-    if not cert.sparse:
-        problems.append(
-            f"G' is not ({format_rational(d.m)}, {format_rational(1 - 2 * d.m)})-sparse; "
-            f"witness {cert.witness.sorted()}"
-        )
+    if d.m <= 0:
+        problems.append(f"m = {format_rational(d.m)} is not positive")
+    else:
+        final = _plan(d.m).final
+        cert = is_sparse(g.edge_subgraph(d.Gp.ids), final)
+        if not cert.sparse:
+            problems.append(
+                f"G' is not ({format_rational(final.a)}, {format_rational(final.b)})-sparse; "
+                f"witness {cert.witness.sorted()}"
+            )
     return VerificationReport(ok=not problems, problems=tuple(problems))
 
 

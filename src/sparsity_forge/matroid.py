@@ -23,13 +23,12 @@ edge, otherwise the circuit that refused it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import MatroidRegimeError
 from .graphs import EdgeSet, Graph, UnionFind, VertexSet
 from .mincut import selection_max
 from .pebble import PebbleGame
-from .sparsity import SparsityParams, is_sparse
+from .sparsity import SparsityParams, _params, is_sparse
 
 LOREA = "lorea"
 WHITE_WHITELEY = "white_whiteley"
@@ -43,9 +42,9 @@ class CountMatroidOracle:
     validity_class: str
     _cache: dict[frozenset[int], bool] = field(default_factory=dict, repr=False)
 
-    @cached_property
+    @property
     def params(self) -> SparsityParams:
-        return SparsityParams(self.a, self.b)
+        return _params(self.a, self.b)
 
     def is_independent(self, s: EdgeSet) -> bool:
         if s.host != self.host:

@@ -25,7 +25,7 @@ from .errors import NotSparseError, TheoremViolationError, VerificationError
 from .graphs import EdgeSet, Graph
 from .matroid import CountMatroidOracle, engine_for, make_oracle
 from .rationals import format_rational
-from .sparsity import SparsityParams, forest_slack, is_sparse
+from .sparsity import _params, _Plan, _plan, is_sparse
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def partition_sparse(
     """
     m1 = make_oracle(g, a1, b1)  # parameter validation precedes the data checks
     m2 = make_oracle(g, a2, b2)
-    cert = is_sparse(g, SparsityParams(a1 + a2, b1 + b2))
+    cert = is_sparse(g, _params(a1 + a2, b1 + b2))
     if not cert.sparse:
         raise NotSparseError(
             f"input is not ({a1 + a2}, {b1 + b2})-sparse", certificate=cert
@@ -200,21 +200,25 @@ def partition_forest_plus(g: Graph, k: int, eps: Fraction | int) -> PartitionRes
     certified input would contradict the guarantee and raises loudly.
     """
     eps = eps if isinstance(eps, Fraction) else Fraction(eps)
-    if k < 1 or not (0 <= eps < 1):
+    if not isinstance(k, int) or k < 1 or not (0 <= eps < 1):
         raise ValueError("need integral k >= 1 and 0 <= eps < 1")
-    m = k + eps
-    cert = is_sparse(g, SparsityParams(m, 0))
+    return _forest_plus(g, _plan(k + eps))
+
+
+def _forest_plus(g: Graph, plan: _Plan) -> PartitionResult:
+    """partition_forest_plus at the m of ``plan``, which has k >= 1."""
+    cert = is_sparse(g, plan.gate)
     if not cert.sparse:
         raise NotSparseError(
-            f"input is not ({format_rational(m)}, 0)-sparse", certificate=cert
+            f"input is not ({format_rational(plan.gate.a)}, 0)-sparse", certificate=cert
         )
-    s = forest_slack(k, eps)
+    k, s = plan.k, plan.s
     m1 = make_oracle(g, 1, -1)
     m2 = make_oracle(g, k, 1 - s)
     result = matroid_union_partition(g, m1, m2)
     if not result.success:
         raise TheoremViolationError(
-            f"certified ({format_rational(m)}, 0)-sparse input produced a deficiency "
+            f"certified ({format_rational(plan.gate.a)}, 0)-sparse input produced a deficiency "
             f"against (1,-1) + ({k},{1 - s}); certificate B={result.deficiency.sorted()}"
         )
     return result

@@ -34,6 +34,22 @@ from fractions import Fraction
 from math import lcm
 
 
+def _scaled_counts(a: Fraction | int, b: Fraction | int) -> tuple[int, int, int, int]:
+    """(k, l, copies, room) of the game deciding (a, b)-sparsity, rational a > 0.
+
+    With q the least common denominator, each edge becomes q parallel arcs
+    in the integral (a*q, -b*q) game.  For b > 0 that is the elongated
+    (a*q, 0) game (Whiteley): the graph is (a, b)-sparse iff its blow-up's
+    nullity in the (a*q, 0) count matroid, the copies the game leaves
+    unplaced, is at most its ``room`` b*q.
+    """
+    # integer arithmetic on the numerators and denominators ints have too
+    ad, bd = a.denominator, b.denominator
+    q = lcm(ad, bd)
+    k, l = a.numerator * (q // ad), -b.numerator * (q // bd)
+    return (k, l, q, 0) if l > 0 else (k, 0, q, -l)
+
+
 class PebbleGame:
     """Inserts may still leave ``room`` copies unplaced; ``unplaced`` they have.
 
@@ -62,21 +78,14 @@ class PebbleGame:
 
     @classmethod
     def scaled(cls, n: int, a: Fraction | int, b: Fraction | int) -> "PebbleGame":
-        """Game deciding (a, b)-sparsity of simple graphs, rational a > 0.
+        """Game deciding (a, b)-sparsity of simple graphs, rational a > 0;
+        ``_scaled_counts`` gives its numbers."""
+        return cls._counted(n, *_scaled_counts(a, b))
 
-        With q the least common denominator, each edge becomes q parallel
-        arcs in the integral (a*q, -b*q) game.  For b > 0 that is the
-        elongated (a*q, 0) game (Whiteley): the graph is (a, b)-sparse iff its
-        blow-up's nullity in the (a*q, 0) count matroid, the copies the game
-        leaves unplaced, is at most its ``room`` b*q.
-        """
-        # integer arithmetic on the numerators and denominators ints have too:
-        # is_sparse builds one of these per decision
-        ad, bd = a.denominator, b.denominator
-        q = lcm(ad, bd)
-        k, l = a.numerator * (q // ad), -b.numerator * (q // bd)
-        game = cls(n, k, l if l > 0 else 0, copies=q)
-        game.room = -l if l < 0 else 0
+    @classmethod
+    def _counted(cls, n: int, k: int, l: int, copies: int, room: int) -> "PebbleGame":
+        game = cls(n, k, l, copies)
+        game.room = room
         return game
 
     # -- internals ----------------------------------------------------------

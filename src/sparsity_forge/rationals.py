@@ -24,8 +24,3 @@ def format_rational(value: Fraction | int | None) -> str | None:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def ceil_fraction(value: Fraction) -> int:
-    return -((-value.numerator) // value.denominator)
-

@@ -25,7 +25,7 @@ from itertools import combinations
 from .errors import TheoremViolationError, VerificationError
 from .graphs import EdgeSet, Graph, UnionFind, VertexSet
 from .matroid import ForestEngine
-from .sparsity import SparsityParams, is_sparse
+from .sparsity import SparsityParams, _params, is_sparse
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,8 @@ def eliminate_triangles(
     for it without breaking the pseudoforest or adding triangles back.
     """
     g = part.host
-    _require_sparse(g, SparsityParams(2, -1), "host")
-    _require_sparse(g.edge_subgraph(part.R.ids), SparsityParams(1, 0), "remainder")
+    _require_sparse(g, _params(2, -1), "host")
+    _require_sparse(g.edge_subgraph(part.R.ids), _params(1, 0), "remainder")
     forest = ForestEngine(g, part.F.ids)
     rem = _Remainder(g, part.R.ids)
     count = rem.triangle_count()
@@ -179,7 +179,7 @@ def eliminate_triangles(
                 raise VerificationError("triangle count did not decrease")
             if not _acyclic(g, forest.ids()):
                 raise VerificationError("forest side grew a cycle")
-            if not is_sparse(g.edge_subgraph(rem.ids), SparsityParams(1, 0)).sparse:
+            if not is_sparse(g.edge_subgraph(rem.ids), _params(1, 0)).sparse:
                 raise VerificationError("remainder stopped being (1,0)-sparse")
         count = new_count
     return ForestPartition(g, EdgeSet(g, forest.ids()), EdgeSet(g, rem.ids))
@@ -220,7 +220,7 @@ def find_bad_sets(g: Graph, R: EdgeSet, k: int, s: int) -> list[VertexSet]:
     missing-pair budget of s-1 and every member needs remainder degree at
     least 2k-s+1, which turns the sweep into near-clique search.
     """
-    _require_sparse(g.edge_subgraph(R.ids), SparsityParams(k, 1 - s), "remainder")
+    _require_sparse(g.edge_subgraph(R.ids), _params(k, 1 - s), "remainder")
     return _find_bad_sets(g, set(R.ids), k, s)
 
 
@@ -295,8 +295,8 @@ def brooks_refine(
     if not (1 <= s <= k - 1):
         raise ValueError("need 1 <= s <= k - 1")
     g = part.host
-    _require_sparse(g, SparsityParams(k + 1, -s), "host")
-    _require_sparse(g.edge_subgraph(part.R.ids), SparsityParams(k, 1 - s), "remainder")
+    _require_sparse(g, _params(k + 1, -s), "host")
+    _require_sparse(g.edge_subgraph(part.R.ids), _params(k, 1 - s), "remainder")
     forest = ForestEngine(g, part.F.ids)
     rem = _Remainder(g, part.R.ids)
     bad = _find_bad_sets(g, rem.ids, k, s)
@@ -352,7 +352,7 @@ def brooks_refine(
         if instrument:
             if not _acyclic(g, forest.ids()):
                 raise VerificationError("forest side grew a cycle")
-            if not is_sparse(g.edge_subgraph(rem.ids), SparsityParams(k, 1 - s)).sparse:
+            if not is_sparse(g.edge_subgraph(rem.ids), _params(k, 1 - s)).sparse:
                 raise VerificationError("remainder stopped being (k,1-s)-sparse")
             if potentials_before is not None:
                 for mask, pot in _all_potentials(g, rem.ids, k).items():

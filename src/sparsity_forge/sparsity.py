@@ -19,6 +19,10 @@ selection network; a maximum at or below zero is pinned down exactly by
 gathering pebbles on a game that has accepted every edge (see max_violation,
 which also states the witness conventions).  The density indices m, m2 and
 the pair density are one Dinkelbach ascent over max_violation.
+
+Parameters are immutable and, inside the package, built once: ``_params``
+keeps one SparsityParams per (a, b), with its pebble-game counts, and
+``_plan`` the numbers of the forest-plus decomposition per m.
 """
 
 from __future__ import annotations
@@ -26,12 +30,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .errors import PathologicalParametersError
 from .graphs import Graph, VertexSet
 from .mincut import selection_max
-from .pebble import PebbleGame
+from .pebble import PebbleGame, _scaled_counts
 from .rationals import format_rational
 
 RationalLike = Fraction | int
@@ -39,25 +44,29 @@ RationalLike = Fraction | int
 
 @dataclass(frozen=True)
 class SparsityParams:
-    """An (a, b) bound, a > 0.  Pathological means 2a + b < 1."""
+    """An (a, b) bound, a > 0.  Pathological means 2a + b < 1.
+
+    Each instance carries the (k, l, copies, room) of the scaled pebble game
+    that decides it (``pebble._scaled_counts``).  Inside the package,
+    ``_params`` hands out one shared instance per (a, b).
+    """
 
     a: Fraction
     b: Fraction
 
     def __init__(self, a: RationalLike, b: RationalLike):
-        # built several times per decision: skip re-wrapping Fractions and
-        # compare 2a + b < 1 by integer cross-multiplication
         if not isinstance(a, Fraction):
             a = Fraction(a)
         if not isinstance(b, Fraction):
             b = Fraction(b)
         if a.numerator <= 0:
             raise ValueError(f"sparsity coefficient a must be positive, got {a}")
-        ad, bd = a.denominator, b.denominator
-        pathological = 2 * a.numerator * bd + b.numerator * ad < ad * bd
+        k, l, q, room = counts = _scaled_counts(a, b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_pathological", pathological)
+        # 2a + b < 1, scaled by q: k = a*q and room - l = b*q
+        object.__setattr__(self, "_pathological", 2 * k + room - l < q)
+        object.__setattr__(self, "_counts", counts)
 
     @property
     def pathological(self) -> bool:
@@ -65,6 +74,16 @@ class SparsityParams:
 
     def __repr__(self) -> str:
         return f"SparsityParams({format_rational(self.a)}, {format_rational(self.b)})"
+
+
+_PARAMS_CACHED = 256  # distinct (a, b); a decomposition at one m uses about five
+
+
+@lru_cache(maxsize=_PARAMS_CACHED)
+def _params(a: RationalLike, b: RationalLike) -> SparsityParams:
+    """The shared, immutable SparsityParams(a, b) (an int and the equal
+    Fraction are one key)."""
+    return SparsityParams(a, b)
 
 
 @dataclass(frozen=True)
@@ -246,7 +265,7 @@ def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:
             min_potential=None,
             params=params,
         )
-    game = PebbleGame.scaled(g.n, params.a, params.b)
+    game = PebbleGame._counted(g.n, *params._counts)
     sparse = all(game.insert(u, v) for u, v in g.edges)
     accepted = game if sparse and not game.unplaced else None
     return SparsityCertificate._exact_on_read(
@@ -328,7 +347,7 @@ def m2_pair(h1: Graph, h2: Graph, max_vertices: int | None = None) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# forest slack
+# forest slack and the decomposition plan per m
 # ---------------------------------------------------------------------------
 
 
@@ -355,3 +374,63 @@ def forest_slack(k: int, eps: RationalLike) -> int:
 
 
 f = forest_slack
+
+
+CASE_SMALL_TWO_FORESTS = "small_m_two_forests"
+CASE_SMALL_TRIANGLE_FREE = "small_m_triangle_free"
+CASE_A = "large_m_case_A"
+CASE_B = "large_m_case_B"
+CASE_C = "large_m_case_C"
+CASE_D1 = "large_m_case_D1"
+CASE_D2 = "large_m_case_D2"
+CASE_D3 = "large_m_case_D3"
+
+
+def _case(k: int, eps: Fraction) -> str:
+    """The case label of decompose_ksw at m = k + eps, k >= 1."""
+    # eps = p/q: each threshold compared by integer cross-multiplication
+    p, q = eps.numerator, eps.denominator
+    if k == 1:
+        return CASE_SMALL_TWO_FORESTS if 5 * p < 4 * q else CASE_SMALL_TRIANGLE_FREE
+    if p * (2 * k + 2) < 3 * q:  # eps < 3/(2k+2)
+        return CASE_A
+    if 2 * p < q:  # eps < 1/2
+        return CASE_B
+    if p * (2 * k + 3) < (k + 3) * q:  # eps < (k+3)/(2k+3)
+        return CASE_C
+    if 4 * p <= 3 * q:  # eps <= 3/4
+        return CASE_D1
+    if p * (2 * k + 3) >= (k + 4) * q:  # eps >= (k+4)/(2k+3)
+        return CASE_D2
+    return CASE_D3
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The numbers of the forest-plus decomposition at one m = k + eps > 0.
+
+    ``gate`` is the (m, 0) hypothesis and ``final`` the (m, 1-2m) bound on
+    the rest.  For k >= 1, ``s`` = forest_slack(k, eps) and ``case`` is the
+    route decompose_ksw takes; below m = 1 both are None.
+    """
+
+    k: int
+    case: str | None
+    s: int | None
+    gate: SparsityParams
+    final: SparsityParams
+
+
+_PLANS_CACHED = 64  # distinct m
+
+
+@lru_cache(maxsize=_PLANS_CACHED)
+def _plan(m: RationalLike) -> _Plan:
+    """The shared plan at m; ValueError for m <= 0."""
+    m = Fraction(m)
+    gate, final = _params(m, 0), _params(m, 1 - 2 * m)
+    k = m.numerator // m.denominator
+    if k < 1:
+        return _Plan(k, None, None, gate, final)
+    eps = m - k
+    return _Plan(k, _case(k, eps), forest_slack(k, eps), gate, final)

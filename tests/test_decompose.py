@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import sparsity_forge as sf
-from sparsity_forge import decompose
+from sparsity_forge import decompose, sparsity
 from sparsity_forge.errors import NotSparseError
 from sparsity_forge.instances import random_sparse_graph
 
@@ -118,12 +118,19 @@ def _slack_by_fractions(k: int, eps: Fraction) -> int:
 
 
 def test_integer_thresholds_match_their_fraction_forms():
-    # _case and forest_slack compare eps = p/q by cross-multiplication
+    # _case and forest_slack compare eps = p/q by cross-multiplication; the
+    # cached plan per m carries the same numbers
     grid = sorted({Fraction(p, q) for q in range(1, 61) for p in range(q)})
     for k in range(1, 13):
         for eps in grid:
-            assert decompose._case(k, eps) == _case_by_fractions(k, eps), (k, eps)
-            assert sf.forest_slack(k, eps) == _slack_by_fractions(k, eps), (k, eps)
+            case, slack = _case_by_fractions(k, eps), _slack_by_fractions(k, eps)
+            assert sparsity._case(k, eps) == case, (k, eps)
+            assert sf.forest_slack(k, eps) == slack, (k, eps)
+            m = k + eps
+            plan = sparsity._plan(m)
+            assert (plan.k, plan.case, plan.s) == (k, case, slack), (k, eps)
+            assert plan.gate == sf.SparsityParams(m, 0), (k, eps)
+            assert plan.final == sf.SparsityParams(m, 1 - 2 * m), (k, eps)
     assert sf.forest_slack(3, 0) == 6  # a plain int eps
 
 
@@ -191,6 +198,54 @@ def test_verify_decomposition_flags_overlap_and_gaps():
     overlap = sf.Decomposition(k4, d.F, sf.full_edge_set(k4), d.m, d.trace)
     rep = sf.verify_decomposition(overlap)
     assert not rep.ok and any("overlap" in p for p in rep.problems)
+
+
+def test_verify_decomposition_reports_a_nonpositive_m():
+    k4 = sf.complete_graph(4)
+    none, full = sf.EdgeSet(k4, []), sf.full_edge_set(k4)
+    for m in (0, -1, Fraction(-1, 3)):
+        rep = sf.verify_decomposition(sf.Decomposition(k4, none, full, m, "x"))
+        assert not rep.ok and any("not positive" in p for p in rep.problems), m
+    # an int m, and an m below 1, where the plan has no case
+    d = sf.decompose_ksw(k4, 2)
+    assert sf.verify_decomposition(sf.Decomposition(k4, d.F, d.Gp, 2, d.trace)).ok
+    rep = sf.verify_decomposition(sf.Decomposition(k4, none, full, Fraction(1, 2), "x"))
+    assert rep.problems == ("G' is not (1/2, 0)-sparse; witness [0, 1, 2, 3]",)
+    assert sparsity._plan(Fraction(1, 2)).case is None
+
+
+def test_repeated_m_builds_no_params(monkeypatch):
+    # parameters and per-m plans are built once: a second round of the
+    # criterion-1 traffic at the same ten m constructs no SparsityParams
+    ms = [Fraction(6, 5), Fraction(3, 2), Fraction(9, 5), Fraction(2), Fraction(7, 3),
+          Fraction(5, 2), Fraction(11, 4), Fraction(3), Fraction(10, 3), Fraction(4)]
+    rng = random.Random(13)
+    graphs = [sf.complete_graph(4), sf.circulant(7, 2)]
+    graphs += [random_graph(rng, 8, rng.random()) for _ in range(6)]
+
+    def one_round():
+        runs = 0
+        for g in graphs:
+            for m in ms:
+                try:
+                    d = sf.decompose_ksw(g, m)
+                except NotSparseError:
+                    continue
+                assert sf.verify_decomposition(d).ok
+                runs += 1
+        return runs
+
+    one_round()
+    built = []
+    init = sf.SparsityParams.__init__
+
+    def spy(self, a, b):
+        built.append((a, b))
+        init(self, a, b)
+
+    monkeypatch.setattr(sf.SparsityParams, "__init__", spy)
+    assert one_round() > 0
+    assert built == []
 
 
 def test_end_to_end_small_sample(rng):

@@ -7,13 +7,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sparsity_forge as sf
 from sparsity_forge import sparsity
 from sparsity_forge.errors import PathologicalParametersError
 from sparsity_forge.instances import random_sparse_graph
+from sparsity_forge.pebble import PebbleGame
 
 from conftest import plus_edges, random_graph
 
@@ -376,16 +377,42 @@ def test_is_sparse_matches_brute_force_property(case):
 
 
 def test_certificates_pickle_and_copy_with_their_numbers():
-    # both verdicts, and the refusal a NotSparseError carries
+    # both verdicts, fresh and cached params, and the refusal a NotSparseError carries
     for g, a, b in ((sf.complete_graph(4), 1, 3), (sf.complete_graph(4), 1, 0),
                     (random_sparse_graph(50, 2, random.Random(3)), 2, 0)):
-        cert = sf.is_sparse(g, sf.SparsityParams(a, b))
-        for twin in (pickle.loads(pickle.dumps(cert)), copy.copy(cert)):
-            assert twin == cert and twin.to_json_dict() == cert.to_json_dict()
+        for params in (sf.SparsityParams(a, b), sparsity._params(a, b)):
+            cert = sf.is_sparse(g, params)
+            twins = (pickle.loads(pickle.dumps(cert)), copy.copy(cert), copy.deepcopy(cert))
+            for twin in twins:
+                assert twin == cert and twin.to_json_dict() == cert.to_json_dict()
+                assert twin.params._counts == params._counts
+        assert sparsity._params(a, b) is params  # copies left the cached one as it was
     with pytest.raises(sf.NotSparseError) as info:
         sf.decompose_ksw(sf.complete_graph(7), Fraction(5, 2))
     twin = pickle.loads(pickle.dumps(info.value))
     assert twin.certificate.to_json_dict() == info.value.certificate.to_json_dict()
+
+
+_INT_OR_FRACTION = st.one_of(st.integers(-8, 8), st.fractions(-8, 8, max_denominator=9))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(st.integers(1, 8), st.fractions(Fraction(1, 9), 8, max_denominator=9)),
+       _INT_OR_FRACTION)
+@example(2, 0)
+@example(Fraction(5, 2), -1)
+@example(1, Fraction(1, 3))
+def test_cached_params_equal_fresh_ones_and_carry_the_game_counts(a, b):
+    # b > 0, b = 0 and b < 0, pathological or not; an int and the equal
+    # Fraction are one cache key
+    cached, fresh = sparsity._params(a, b), sf.SparsityParams(a, b)
+    assert sparsity._params(Fraction(a), Fraction(b)) is cached
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert cached.pathological == fresh.pathological == (2 * a + b < 1)
+    assert cached._counts == fresh._counts
+    if not cached.pathological:
+        game = PebbleGame.scaled(4, a, b)
+        assert cached._counts == (game.k, game.l, game.copies, game.room)
 
 
 def test_decision_only_callers_never_compute_the_maximum(monkeypatch):
