@@ -1,13 +1,14 @@
 """sparsity-forge: exact (a, b)-sparsity decisions, count-matroid union
-partitions, and forest decompositions of simple graphs."""
+partitions, and forest decompositions of simple graphs.
 
-from .decompose import (
-    Decomposition,
-    VerificationReport,
-    check_hypergraph_bound,
-    decompose_ksw,
-    verify_decomposition,
-)
+Only the errors load with the package.  Every other public name is read
+from its submodule on each access (PEP 562), which imports that submodule
+the first time; nothing is copied into this namespace, so a name patched
+in its submodule is seen here and an undone patch is undone here too.
+"""
+
+import importlib
+
 from .errors import (
     GraphFormatError,
     MatroidRegimeError,
@@ -17,110 +18,86 @@ from .errors import (
     TheoremViolationError,
     VerificationError,
 )
-from .graphs import (
-    EdgeSet,
-    Graph,
-    VertexSet,
-    circulant,
-    complete_graph,
-    disjoint_union,
-    full_edge_set,
-    gen_counterexample_disconnected,
-    gen_counterexample_glued_trees,
-    gen_counterexample_ring,
-    glue,
-    parse_edgelist,
-    parse_graph6,
-    write_edgelist,
-    write_graph6,
-)
-from .matroid import (
-    CountMatroidOracle,
-    find_tight_components,
-    is_independent,
-    make_oracle,
-    rank,
-)
-from .oracle import brute_partition_exists, brute_sparse, check_matroid_axioms
-from .partition import (
-    PartitionResult,
-    matroid_union_partition,
-    partition_forest_plus,
-    partition_sparse,
-)
-from .rationals import format_rational, parse_rational
-from .refine import ForestPartition, brooks_refine, eliminate_triangles, find_bad_sets
-from .sparsity import (
-    SparsityCertificate,
-    SparsityParams,
-    f,
-    forest_slack,
-    is_sparse,
-    is_tight,
-    m2_of,
-    m2_pair,
-    m_of,
-    max_violation,
-    potential,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CountMatroidOracle",
-    "Decomposition",
-    "EdgeSet",
-    "ForestPartition",
-    "Graph",
-    "GraphFormatError",
-    "MatroidRegimeError",
-    "NotSparseError",
-    "PartitionResult",
-    "PathologicalParametersError",
-    "SparsityCertificate",
-    "SparsityForgeError",
-    "SparsityParams",
-    "TheoremViolationError",
-    "VerificationError",
-    "VerificationReport",
-    "VertexSet",
-    "brooks_refine",
-    "brute_partition_exists",
-    "brute_sparse",
-    "check_hypergraph_bound",
-    "check_matroid_axioms",
-    "circulant",
-    "complete_graph",
-    "decompose_ksw",
-    "disjoint_union",
-    "eliminate_triangles",
-    "f",
-    "find_bad_sets",
-    "find_tight_components",
-    "forest_slack",
-    "format_rational",
-    "full_edge_set",
-    "gen_counterexample_disconnected",
-    "gen_counterexample_glued_trees",
-    "gen_counterexample_ring",
-    "glue",
-    "is_independent",
-    "is_sparse",
-    "is_tight",
-    "m2_of",
-    "m2_pair",
-    "m_of",
-    "make_oracle",
-    "matroid_union_partition",
-    "max_violation",
-    "parse_edgelist",
-    "parse_graph6",
-    "parse_rational",
-    "partition_forest_plus",
-    "partition_sparse",
-    "potential",
-    "rank",
-    "verify_decomposition",
-    "write_edgelist",
-    "write_graph6",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "decompose": (
+        "Decomposition",
+        "VerificationReport",
+        "check_hypergraph_bound",
+        "decompose_ksw",
+        "verify_decomposition",
+    ),
+    "errors": (
+        "GraphFormatError",
+        "MatroidRegimeError",
+        "NotSparseError",
+        "PathologicalParametersError",
+        "SparsityForgeError",
+        "TheoremViolationError",
+        "VerificationError",
+    ),
+    "graphs": (
+        "EdgeSet",
+        "Graph",
+        "VertexSet",
+        "circulant",
+        "complete_graph",
+        "disjoint_union",
+        "full_edge_set",
+        "gen_counterexample_disconnected",
+        "gen_counterexample_glued_trees",
+        "gen_counterexample_ring",
+        "glue",
+        "parse_edgelist",
+        "parse_graph6",
+        "write_edgelist",
+        "write_graph6",
+    ),
+    "matroid": (
+        "CountMatroidOracle",
+        "find_tight_components",
+        "is_independent",
+        "make_oracle",
+        "rank",
+    ),
+    "oracle": ("brute_partition_exists", "brute_sparse", "check_matroid_axioms"),
+    "partition": (
+        "PartitionResult",
+        "matroid_union_partition",
+        "partition_forest_plus",
+        "partition_sparse",
+    ),
+    "rationals": ("format_rational", "parse_rational"),
+    "refine": ("ForestPartition", "brooks_refine", "eliminate_triangles", "find_bad_sets"),
+    "sparsity": (
+        "SparsityCertificate",
+        "SparsityParams",
+        "f",
+        "forest_slack",
+        "is_sparse",
+        "is_tight",
+        "m2_of",
+        "m2_pair",
+        "m_of",
+        "max_violation",
+        "potential",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import system binds a submodule here once it has finished loading
+    module = globals().get(home) or importlib.import_module(f"{__name__}.{home}")
+    return getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

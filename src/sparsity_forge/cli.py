@@ -7,32 +7,24 @@ diagnostics go to stderr.  Exit codes are uniform: 0 = yes, 1 = certified
 no, 2 = error, and a run exits with the largest code over its records.  A
 malformed record answers with {"reason", "line", "offset"} in its slot and
 exit code 2, and the records after it are still answered.  Parameter errors
-and bugs end the run at once.
+and bugs end the run at once: each command checks its parameters before it
+reads the first record, so an empty input fails them too.
+
+Start-up is part of every call, so this module imports only what reading
+records needs, and each command imports the engines it runs: ``check``
+loads the sparsity engine alone, ``partition`` adds the matroid union, and
+only ``bench`` loads the instance generator and ``hashlib``.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import random
 import sys
 import time
 
-from .decompose import decompose_ksw, verify_decomposition
 from .errors import GraphFormatError, NotSparseError, SparsityForgeError, VerificationError
-from .graphs import (
-    gen_counterexample_disconnected,
-    gen_counterexample_glued_trees,
-    gen_counterexample_ring,
-    parse_edgelist,
-    parse_graph6,
-    write_graph6,
-)
-from .instances import random_sparse_graph
-from .partition import partition_sparse
-from .rationals import parse_rational
-from .sparsity import SparsityParams, is_sparse
+from .graphs import parse_edgelist, parse_graph6
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -93,8 +85,20 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def verify_decomposition(d):
+    """decompose.verify_decomposition, imported when called: loading the CLI
+    does not load the decomposition engine."""
+    from .decompose import verify_decomposition
+
+    return verify_decomposition(d)
+
+
 def cmd_check(args) -> int:
+    from .rationals import parse_rational
+    from .sparsity import SparsityParams, _require_regular, is_sparse
+
     params = SparsityParams(parse_rational(args.a), parse_rational(args.b))
+    _require_regular(params)
 
     def answer(g):
         cert = is_sparse(g, params)
@@ -104,7 +108,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    m = parse_rational(args.m)
+    from .decompose import _above_one, decompose_ksw
+    from .rationals import parse_rational
+
+    m = _above_one(parse_rational(args.m))
 
     def answer(g):
         t0 = time.perf_counter()
@@ -125,6 +132,12 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    from .matroid import _regime
+    from .partition import partition_sparse
+
+    _regime(args.a1, args.b1)
+    _regime(args.a2, args.b2)
+
     def answer(g):
         try:
             result = partition_sparse(
@@ -138,6 +151,13 @@ def cmd_partition(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .graphs import (
+        gen_counterexample_disconnected,
+        gen_counterexample_glued_trees,
+        gen_counterexample_ring,
+        write_graph6,
+    )
+
     if args.family == "disconnected":
         g = gen_counterexample_disconnected(args.a1, args.a2, args.n, args.t)
     elif args.family == "glued-trees":
@@ -151,6 +171,15 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     if args.suite != "decompose":
         raise ValueError(f"unknown bench suite {args.suite!r}; available: decompose")
+    import hashlib
+    import random
+
+    from .decompose import decompose_ksw
+    from .graphs import write_graph6
+    from .instances import random_sparse_graph
+    from .rationals import parse_rational
+    from .sparsity import SparsityParams, is_sparse
+
     m = parse_rational(args.m)
     sizes = [int(s) for s in args.sizes.split(",") if s]
     print(f"{'n':>6} {'e':>7} {'hash':>12} {'check_ms':>9} {'split_ms':>9} "

@@ -21,24 +21,21 @@ decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TheoremViolationError
-from .graphs import EdgeSet, Graph, VertexSet
+from .graphs import EdgeSet, Graph, VertexSet, _Frozen
 from .partition import _forest_plus
 from .rationals import format_rational
 from .refine import ForestPartition, _acyclic, brooks_refine, eliminate_triangles
 from .sparsity import CASE_D2, CASE_SMALL_TRIANGLE_FREE, _plan, is_sparse
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    host: Graph
-    F: EdgeSet
-    Gp: EdgeSet
-    m: Fraction
-    trace: str
+class Decomposition(_Frozen):
+    _fields = ("host", "F", "Gp", "m", "trace")
+
+    def __init__(self, host: Graph, F: EdgeSet, Gp: EdgeSet, m: Fraction, trace: str):
+        _Frozen.__init__(self, host, F, Gp, m, trace)
 
     def to_json_dict(self, verified: bool | None = None) -> dict:
         out = {
@@ -59,9 +56,7 @@ def decompose_ksw(g: Graph, m: Fraction | int) -> Decomposition:
     hypothesis, ValueError for m <= 1, and TheoremViolationError if the
     result fails verify_decomposition.
     """
-    m = m if isinstance(m, Fraction) else Fraction(m)  # skip re-wrapping a Fraction
-    if m <= 1:
-        raise ValueError("decomposition needs m > 1")
+    m = _above_one(m)
     plan = _plan(m)
     result = _forest_plus(g, plan)
     label = plan.case
@@ -79,10 +74,19 @@ def decompose_ksw(g: Graph, m: Fraction | int) -> Decomposition:
     return d
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    problems: tuple[str, ...]
+def _above_one(m: Fraction | int) -> Fraction:
+    """m as a Fraction; ValueError unless m > 1."""
+    m = m if isinstance(m, Fraction) else Fraction(m)  # skip re-wrapping a Fraction
+    if m.numerator <= m.denominator:
+        raise ValueError("decomposition needs m > 1")
+    return m
+
+
+class VerificationReport(_Frozen):
+    _fields = ("ok", "problems")
+
+    def __init__(self, ok: bool, problems: tuple[str, ...]):
+        _Frozen.__init__(self, ok, problems)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -100,10 +104,11 @@ def verify_decomposition(d: Decomposition) -> VerificationReport:
         problems.append("F and G' do not cover E")
     if not _acyclic(g, d.F.ids):
         problems.append("F contains a cycle")
-    if d.m <= 0:
-        problems.append(f"m = {format_rational(d.m)} is not positive")
+    m = d.m if isinstance(d.m, Fraction) else Fraction(d.m)
+    if m.numerator <= 0:
+        problems.append(f"m = {format_rational(m)} is not positive")
     else:
-        final = _plan(d.m).final
+        final = _plan(m).final
         cert = is_sparse(g.edge_subgraph(d.Gp.ids), final)
         if not cert.sparse:
             problems.append(

@@ -16,20 +16,60 @@ complete graphs glued at a vertex, and a ring of near-complete blocks.
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import GraphFormatError
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Frozen:
+    """Base of the package's immutable values.
+
+    A subclass names its two or more fields in ``_fields``, and its
+    ``__init__`` stores them through ``object.__setattr__``, directly or by
+    ``_Frozen.__init__``: assignment and deletion raise AttributeError.
+    (Writing ``self.__dict__`` instead would slow every later attribute read
+    of the instance.)  Instances are equal when they have the same class and
+    equal fields, hash by their fields, and repr as ``Class(field=value,
+    ...)``.  Pickle and copy restore the instance dict as it is.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # a plain class attribute, not a method: called as self._values(self)
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Frozen):
     """Immutable simple graph.  ``edges[i]`` is the endpoint pair of edge id i."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -104,12 +144,10 @@ class Graph:
         return f"Graph(n={self.n}, e={self.e})"
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class VertexSet(_Frozen):
     """A subset of a host graph's vertices."""
 
-    host: Graph
-    ids: frozenset[int]
+    _fields = ("host", "ids")
 
     def __init__(self, host: Graph, ids: Iterable[int]):
         ids = frozenset(ids)
@@ -135,12 +173,10 @@ class VertexSet:
         return f"VertexSet({self.sorted()})"
 
 
-@dataclass(frozen=True)
-class EdgeSet:
+class EdgeSet(_Frozen):
     """A subset of a host graph's edge ids, with set semantics."""
 
-    host: Graph
-    ids: frozenset[int]
+    _fields = ("host", "ids")
 
     def __init__(self, host: Graph, ids: Iterable[int]):
         ids = frozenset(ids)

@@ -22,8 +22,6 @@ edge, otherwise the circuit that refused it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import MatroidRegimeError
 from .graphs import EdgeSet, Graph, UnionFind, VertexSet
 from .mincut import selection_max
@@ -34,13 +32,22 @@ LOREA = "lorea"
 WHITE_WHITELEY = "white_whiteley"
 
 
-@dataclass(eq=False)
 class CountMatroidOracle:
-    host: Graph
-    a: int
-    b: int
-    validity_class: str
-    _cache: dict[frozenset[int], bool] = field(default_factory=dict, repr=False)
+    """Independence and rank in the (a, b) count matroid on a host's edges.
+
+    Mutable (answers are cached per edge set), with identity equality.
+    """
+
+    def __init__(
+        self,
+        host: Graph,
+        a: int,
+        b: int,
+        validity_class: str,
+        _cache: dict[frozenset[int], bool] | None = None,
+    ):
+        self.host, self.a, self.b, self.validity_class = host, a, b, validity_class
+        self._cache = {} if _cache is None else _cache
 
     @property
     def params(self) -> SparsityParams:
@@ -77,14 +84,19 @@ class CountMatroidOracle:
 
 def make_oracle(host: Graph, a: int, b: int) -> CountMatroidOracle:
     """Build the (a, b) count-matroid oracle; rejects parameters outside b >= -2a."""
+    return CountMatroidOracle(host, a, b, _regime(a, b))
+
+
+def _regime(a: int, b: int) -> str:
+    """The validity class of the (a, b) count matroid; MatroidRegimeError
+    when there is none."""
     if not (isinstance(a, int) and isinstance(b, int)):
         raise MatroidRegimeError("count matroids here need integral a and b")
     if a < 1:
         raise MatroidRegimeError(f"need a >= 1, got a={a}")
     if b < -2 * a:
         raise MatroidRegimeError(f"need b >= -2a = {-2 * a}, got b={b}")
-    cls = LOREA if b <= 0 else WHITE_WHITELEY
-    return CountMatroidOracle(host, a, b, cls)
+    return LOREA if b <= 0 else WHITE_WHITELEY
 
 
 def is_independent(o: CountMatroidOracle, s: EdgeSet) -> bool:

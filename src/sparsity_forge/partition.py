@@ -19,26 +19,30 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from dataclasses import dataclass
 
 from .errors import NotSparseError, TheoremViolationError, VerificationError
-from .graphs import EdgeSet, Graph
+from .graphs import EdgeSet, Graph, _Frozen
 from .matroid import CountMatroidOracle, engine_for, make_oracle
 from .rationals import format_rational
 from .sparsity import _params, _Plan, _plan, is_sparse
 
 
-@dataclass(frozen=True)
-class PartitionResult:
+class PartitionResult(_Frozen):
     """Either a full 2-coloring or a deficiency certificate B with
     r1(B) + r2(B) < |B|."""
 
-    success: bool
-    e1: EdgeSet | None = None
-    e2: EdgeSet | None = None
-    deficiency: EdgeSet | None = None
-    r1: int | None = None
-    r2: int | None = None
+    _fields = ("success", "e1", "e2", "deficiency", "r1", "r2")
+
+    def __init__(
+        self,
+        success: bool,
+        e1: EdgeSet | None = None,
+        e2: EdgeSet | None = None,
+        deficiency: EdgeSet | None = None,
+        r1: int | None = None,
+        r2: int | None = None,
+    ):
+        _Frozen.__init__(self, success, e1, e2, deficiency, r1, r2)
 
     def to_json_dict(self) -> dict:
         if self.success:

@@ -19,32 +19,29 @@ iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import TheoremViolationError, VerificationError
-from .graphs import EdgeSet, Graph, UnionFind, VertexSet
+from .graphs import EdgeSet, Graph, UnionFind, VertexSet, _Frozen
 from .matroid import ForestEngine
 from .sparsity import SparsityParams, _params, is_sparse
 
 
-@dataclass(frozen=True)
-class ForestPartition:
+class ForestPartition(_Frozen):
     """A 2-coloring of a host's edges whose first side is acyclic."""
 
-    host: Graph
-    F: EdgeSet
-    R: EdgeSet
+    _fields = ("host", "F", "R")
 
-    def __post_init__(self):
-        if self.F.host != self.host or self.R.host != self.host:
+    def __init__(self, host: Graph, F: EdgeSet, R: EdgeSet):
+        if F.host != host or R.host != host:
             raise ValueError("edge sets must live on the host")
-        if self.F.ids & self.R.ids:
+        if F.ids & R.ids:
             raise ValueError("forest and remainder overlap")
-        if self.F.ids | self.R.ids != frozenset(range(self.host.e)):
+        if F.ids | R.ids != frozenset(range(host.e)):
             raise ValueError("forest and remainder do not cover the host")
-        if not _acyclic(self.host, self.F.ids):
+        if not _acyclic(host, F.ids):
             raise ValueError("forest side contains a cycle")
+        _Frozen.__init__(self, host, F, R)
 
 
 def _acyclic(g: Graph, ids) -> bool:

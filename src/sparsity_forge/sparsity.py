@@ -28,13 +28,12 @@ keeps one SparsityParams per (a, b), with its pebble-game counts, and
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable
 
 from .errors import PathologicalParametersError
-from .graphs import Graph, VertexSet
+from .graphs import Graph, VertexSet, _Frozen
 from .mincut import selection_max
 from .pebble import PebbleGame, _scaled_counts
 from .rationals import format_rational
@@ -42,8 +41,7 @@ from .rationals import format_rational
 RationalLike = Fraction | int
 
 
-@dataclass(frozen=True)
-class SparsityParams:
+class SparsityParams(_Frozen):
     """An (a, b) bound, a > 0.  Pathological means 2a + b < 1.
 
     Each instance carries the (k, l, copies, room) of the scaled pebble game
@@ -51,8 +49,7 @@ class SparsityParams:
     ``_params`` hands out one shared instance per (a, b).
     """
 
-    a: Fraction
-    b: Fraction
+    _fields = ("a", "b")
 
     def __init__(self, a: RationalLike, b: RationalLike):
         if not isinstance(a, Fraction):
@@ -86,8 +83,7 @@ def _params(a: RationalLike, b: RationalLike) -> SparsityParams:
     return SparsityParams(a, b)
 
 
-@dataclass(frozen=True)
-class SparsityCertificate:
+class SparsityCertificate(_Frozen):
     """Outcome of a sparsity check plus the witness that pins it down.
 
     ``witness`` attains the maximum of e(G[U]) - a|U| over |U| >= 2;
@@ -101,11 +97,17 @@ class SparsityCertificate:
     time any of them is read, and kept.
     """
 
-    sparse: bool
-    witness: VertexSet
-    max_violation: Fraction | None
-    min_potential: Fraction | None
-    params: SparsityParams
+    _fields = ("sparse", "witness", "max_violation", "min_potential", "params")
+
+    def __init__(
+        self,
+        sparse: bool,
+        witness: VertexSet,
+        max_violation: Fraction | None,
+        min_potential: Fraction | None,
+        params: SparsityParams,
+    ):
+        _Frozen.__init__(self, sparse, witness, max_violation, min_potential, params)
 
     @classmethod
     def _exact_on_read(
@@ -243,6 +245,14 @@ def max_violation(
     return value, VertexSet(g, game.last_region)
 
 
+def _require_regular(params: SparsityParams) -> None:
+    """The PathologicalParametersError of is_sparse, raised when 2a + b < 1."""
+    if params.pathological:
+        raise PathologicalParametersError(
+            f"parameters {params} have 2a + b < 1; only edgeless graphs qualify"
+        )
+
+
 def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:
     """Decide (a, b)-sparsity and return the witness certificate.
 
@@ -253,10 +263,7 @@ def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:
     max_violation the first time one of them is read; a game that placed
     every copy is handed over in place of a fresh zero-slack sweep.
     """
-    if params.pathological:
-        raise PathologicalParametersError(
-            f"parameters {params} have 2a + b < 1; only edgeless graphs qualify"
-        )
+    _require_regular(params)
     if g.n <= 1:
         return SparsityCertificate(
             sparse=True,
@@ -405,8 +412,7 @@ def _case(k: int, eps: Fraction) -> str:
     return CASE_D3
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(_Frozen):
     """The numbers of the forest-plus decomposition at one m = k + eps > 0.
 
     ``gate`` is the (m, 0) hypothesis and ``final`` the (m, 1-2m) bound on
@@ -414,20 +420,26 @@ class _Plan:
     route decompose_ksw takes; below m = 1 both are None.
     """
 
-    k: int
-    case: str | None
-    s: int | None
-    gate: SparsityParams
-    final: SparsityParams
+    _fields = ("k", "case", "s", "gate", "final")
+
+    def __init__(
+        self, k: int, case: str | None, s: int | None, gate: SparsityParams, final: SparsityParams
+    ):
+        _Frozen.__init__(self, k, case, s, gate, final)
 
 
 _PLANS_CACHED = 64  # distinct m
 
 
-@lru_cache(maxsize=_PLANS_CACHED)
 def _plan(m: RationalLike) -> _Plan:
-    """The shared plan at m; ValueError for m <= 0."""
-    m = Fraction(m)
+    """The shared plan at m (an int or a Fraction); ValueError for m <= 0."""
+    return _plan_at(m.numerator, m.denominator)
+
+
+@lru_cache(maxsize=_PLANS_CACHED)
+def _plan_at(p: int, q: int) -> _Plan:
+    """The plan at m = p/q, cached by the two ints: they hash faster than m."""
+    m = Fraction(p, q)
     gate, final = _params(m, 0), _params(m, 1 - 2 * m)
     k = m.numerator // m.denominator
     if k < 1:

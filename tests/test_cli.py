@@ -274,6 +274,55 @@ def test_parameter_error_ends_the_run(capsys, monkeypatch):
         assert len(err.splitlines()) == 1
 
 
+def test_parameter_errors_need_no_record(capsys, monkeypatch):
+    # the parameters are checked before the first record is read
+    for argv in (
+        ["check", "--a", "1", "--b", "-5"],
+        ["decompose", "--m", "1"],
+        ["partition", "--a1", "1", "--b1", "-1", "--a2", "1", "--b2", "-3"],
+    ):
+        inputs = ("", g6(sf.complete_graph(3)))
+        answers = [run_cli(capsys, argv, text, monkeypatch) for text in inputs]
+        assert answers[0] == answers[1], argv
+        code, out, err = answers[0]
+        assert (code, out) == (2, "") and err.startswith("error: "), argv
+        assert len(err.splitlines()) == 1, argv
+
+
+_MODULES_AFTER_RUN = """
+import runpy, sys
+sys.argv = ["sparsity-forge", *sys.argv[1:]]
+try:
+    runpy.run_module("sparsity_forge.cli", run_name="__main__")
+except SystemExit:
+    pass
+print(" ".join(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+def modules_after_run(argv, text):
+    """The module names a fresh interpreter holds after running the CLI."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER_RUN, *argv],
+        input=text, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.count("\n") == 1, proc.stdout
+    return set(proc.stderr.split())
+
+
+def test_each_command_imports_only_what_it_runs():
+    record = g6(sf.complete_graph(4))
+    engines = {f"sparsity_forge.{name}" for name in ("refine", "decompose", "oracle", "instances")}
+    stdlib = {"dataclasses", "hashlib"}
+    loaded = modules_after_run(["check", "--a", "1", "--b", "-1"], record)
+    assert "sparsity_forge.sparsity" in loaded
+    assert not loaded & (engines | stdlib | {"sparsity_forge.matroid", "sparsity_forge.partition"})
+    argv = ["partition", "--a1", "1", "--b1", "-1", "--a2", "1", "--b2", "0"]
+    loaded = modules_after_run(argv, record)
+    assert "sparsity_forge.partition" in loaded
+    assert not loaded & (engines | stdlib)
+
+
 def test_parse_error_exit_2(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["check", "--a", "1", "--b", "0"], "!!!\n", monkeypatch)
     assert code == 2 and "error" in err

@@ -138,8 +138,10 @@ def test_each_host_sweep_runs_once(monkeypatch):
     # one decomposition sweeps the whole host at most once per (a, b): the
     # (m, 0) gate, and at 9/5 <= m < 2 eliminate_triangles' (2, -1) check
     real = sf.is_sparse
+    # the submodules that bind it; the package only reads sparsity's binding,
+    # and patching it there would leave a copy in its namespace after undo
     modules = [mod for name, mod in sys.modules.items()
-               if name.startswith("sparsity_forge") and getattr(mod, "is_sparse", None) is real]
+               if name.startswith("sparsity_forge.") and vars(mod).get("is_sparse") is real]
     for m, seed in ((Fraction(19, 10), 21), (Fraction(6, 5), 22)):
         host = random_sparse_graph(60, m, random.Random(seed))
         sweeps = Counter()
