@@ -19,6 +19,7 @@ from __future__ import annotations
 import operator
 import re
 from functools import cached_property
+from math import isqrt
 from typing import Iterable, Iterator
 
 from .errors import GraphFormatError
@@ -299,7 +300,9 @@ def parse_graph6(text: str | bytes) -> Graph:
 
     Bits cover the upper triangle column by column: (0,1), (0,2), (1,2),
     (0,3), ...; each byte carries six bits, most significant first, offset
-    by 63.  Errors name the offending byte offset.
+    by 63.  Errors name the offending byte offset.  Each adjacency byte is
+    read once: it is range-checked, and each of its set bits is mapped
+    straight to its pair.
     """
     if isinstance(text, str):
         try:
@@ -324,28 +327,22 @@ def parse_graph6(text: str | bytes) -> Graph:
     if len(body) > nbytes:
         raise GraphFormatError("trailing bytes after adjacency bits", pos + nbytes)
     edges = []
-    bit = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = body[bit // 6]
-            if not (63 <= byte <= 126):
-                raise GraphFormatError(
-                    f"adjacency byte {byte} outside graph6 range 63..126",
-                    pos + bit // 6,
-                )
-            if (byte - 63) >> (5 - bit % 6) & 1:
-                edges.append((i, j))
-            bit += 1
-    # padding bits must be zero
-    while bit < 6 * nbytes:
-        byte = body[bit // 6]
-        if not (63 <= byte <= 126):
+    for at, byte in enumerate(body):
+        x = byte - 63
+        if not 0 <= x <= 63:
             raise GraphFormatError(
-                f"adjacency byte {byte} outside graph6 range 63..126", pos + bit // 6
+                f"adjacency byte {byte} outside graph6 range 63..126", pos + at
             )
-        if (byte - 63) >> (5 - bit % 6) & 1:
-            raise GraphFormatError("nonzero padding bit", pos + bit // 6)
-        bit += 1
+        top = 6 * at + 5  # index of the bit x holds at 1 << 0
+        while x:
+            low = x & -x
+            x ^= low
+            bit = top - low.bit_length() + 1
+            j = (isqrt(8 * bit + 1) + 1) >> 1  # column j: C(j, 2) <= bit < C(j+1, 2)
+            edges.append((bit - j * (j - 1) // 2, j))
+    # the low 6*nbytes - nbits bits of the last byte pad the triangle
+    if nbytes and (body[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
+        raise GraphFormatError("nonzero padding bit", pos + nbytes - 1)
     return Graph(n, edges)
 
 

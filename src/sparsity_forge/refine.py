@@ -15,6 +15,12 @@ usable swap always exists; running out of swaps raises TheoremViolationError
 instead of silently returning a wrong partition.  ``instrument=True`` re-runs
 the exact engine after every swap; ``trace`` collects the measure per
 iteration.
+
+Most remainders need no repair, so both procedures measure first and return
+the input partition itself when the measure is already 0; the forest engine
+is built only when a swap follows.  The low-potential sets are found by a
+near-clique search over int bitmasks of remainder neighbours
+(``find_bad_sets``).
 """
 
 from __future__ import annotations
@@ -133,11 +139,13 @@ def eliminate_triangles(
     g = part.host
     _require_sparse(g, _params(2, -1), "host")
     _require_sparse(g.edge_subgraph(part.R.ids), _params(1, 0), "remainder")
-    forest = ForestEngine(g, part.F.ids)
     rem = _Remainder(g, part.R.ids)
     count = rem.triangle_count()
     if trace is not None:
         trace.append(count)
+    if not count:
+        return part
+    forest = ForestEngine(g, part.F.ids)
     while True:
         tri = rem.smallest_triangle()
         if tri is None:
@@ -212,46 +220,65 @@ def find_bad_sets(g: Graph, R: EdgeSet, k: int, s: int) -> list[VertexSet]:
     """All U with |U| = 2k+1 spanning exactly k(2k+1)+1-s remainder edges.
 
     These sit at potential k|U| - e(R[U]) = s - 1, one below the repair
-    target.  R must be (k, 1-s)-sparse.  Enumeration is pruned hard: such a
-    U misses exactly s-1 of its vertex pairs, so partial selections carry a
-    missing-pair budget of s-1 and every member needs remainder degree at
-    least 2k-s+1, which turns the sweep into near-clique search.
+    target.  R must be an edge set of g and (k, 1-s)-sparse.  Such a U
+    misses exactly s-1 of its vertex pairs, so every member needs remainder
+    degree at least 2k+1-s; the search runs over those candidates only, as
+    int bitmasks of their remainder neighbours.  A prefix of ascending
+    candidates is charged its missing pairs until the budget of s-1 is
+    spent; after that only the common neighbours of the whole prefix can
+    extend it, and they are read off the AND of its masks.  The sets come
+    in lexicographic order.
     """
+    if R.host != g:
+        raise ValueError("edge set belongs to a different host graph")
     _require_sparse(g.edge_subgraph(R.ids), _params(k, 1 - s), "remainder")
-    return _find_bad_sets(g, set(R.ids), k, s)
+    return _find_bad_sets(g, R.ids, k, s)
 
 
-def _find_bad_sets(g: Graph, r_ids: set[int], k: int, s: int) -> list[VertexSet]:
-    # a bad U misses exactly s-1 of its C(2k+1, 2) vertex pairs, so partial
-    # sets accumulate at most s-1 non-adjacent pairs and every member needs
-    # remainder degree >= 2k+1-s; that turns the sweep into near-clique search
+def _find_bad_sets(g: Graph, r_ids, k: int, s: int) -> list[VertexSet]:
     size = 2 * k + 1
     max_missing = s - 1
-    adj = [set() for _ in range(g.n)]
-    for eid in r_ids:
-        u, v = g.edges[eid]
-        adj[u].add(v)
-        adj[v].add(u)
-    candidates = [v for v in range(g.n) if len(adj[v]) >= size - 1 - max_missing]
+    pairs = [g.edges[eid] for eid in r_ids]
+    degree = [0] * g.n
+    for u, v in pairs:
+        degree[u] += 1
+        degree[v] += 1
+    candidates = [v for v in range(g.n) if degree[v] >= size - 1 - max_missing]
+    index = [-1] * g.n
+    for i, v in enumerate(candidates):
+        index[v] = i
+    # nb[i]: the candidates adjacent to candidates[i], as a mask of indices
+    nb = [0] * len(candidates)
+    for u, v in pairs:
+        i, j = index[u], index[v]
+        if i >= 0 and j >= 0:
+            nb[i] |= 1 << j
+            nb[j] |= 1 << i
     out: list[VertexSet] = []
-    chosen: list[int] = []
 
-    def grow(start: int, missing: int) -> None:
-        if len(chosen) == size:
+    def grow(start: int, chosen: int, missing: int, common: int) -> None:
+        # chosen: a mask of indices; common: the candidates adjacent to all of them
+        slots = size - chosen.bit_count()
+        if not slots:
             if missing == max_missing:
-                out.append(VertexSet(g, chosen))
+                out.append(VertexSet(g, [v for i, v in enumerate(candidates) if chosen >> i & 1]))
             return
-        slots = size - len(chosen)
-        for idx in range(start, len(candidates) - slots + 1):
-            v = candidates[idx]
-            add_missing = len(chosen) - sum(1 for w in chosen if w in adj[v])
-            if missing + add_missing > max_missing:
-                continue
-            chosen.append(v)
-            grow(idx + 1, missing + add_missing)
-            chosen.pop()
+        if missing == max_missing:
+            # budget spent: every further member is adjacent to the whole prefix
+            ext = common >> start << start
+            while ext.bit_count() >= slots:
+                low = ext & -ext
+                ext ^= low
+                i = low.bit_length() - 1
+                grow(i + 1, chosen | low, missing, common & nb[i])
+            return
+        placed = size - slots
+        for i in range(start, len(candidates) - slots + 1):
+            charged = missing + placed - (nb[i] & chosen).bit_count()
+            if charged <= max_missing:
+                grow(i + 1, chosen | 1 << i, charged, common & nb[i])
 
-    grow(0, 0)
+    grow(0, 0, 0, (1 << len(candidates)) - 1)
     return out
 
 
@@ -294,11 +321,13 @@ def brooks_refine(
     g = part.host
     _require_sparse(g, _params(k + 1, -s), "host")
     _require_sparse(g.edge_subgraph(part.R.ids), _params(k, 1 - s), "remainder")
-    forest = ForestEngine(g, part.F.ids)
-    rem = _Remainder(g, part.R.ids)
-    bad = _find_bad_sets(g, rem.ids, k, s)
+    bad = _find_bad_sets(g, part.R.ids, k, s)
     if trace is not None:
         trace.append(len(bad))
+    if not bad:
+        return part
+    forest = ForestEngine(g, part.F.ids)
+    rem = _Remainder(g, part.R.ids)
     while bad:
         before = {vs.ids for vs in bad}
         potentials_before = _all_potentials(g, rem.ids, k) if instrument and g.n <= 10 else None

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import sparsity_forge as sf
 from sparsity_forge.errors import GraphFormatError
+from sparsity_forge.graphs import _parse_graph6_header
 
 from conftest import random_graph, to_networkx
 
@@ -155,6 +156,79 @@ def test_graph6_roundtrip_property(g):
 
 def test_graph6_optional_header_prefix():
     assert sf.parse_graph6(">>graph6<<Bw") == sf.complete_graph(3)
+
+
+def test_graph6_roundtrip_up_to_100_vertices():
+    rng = random.Random(3)
+    for n in list(range(0, 8)) + [rng.randint(8, 100) for _ in range(60)]:
+        g = random_graph(rng, n, rng.choice([0.02, 0.1, 0.5, 0.95]))
+        assert sf.parse_graph6(sf.write_graph6(g)) == g
+
+
+def _parse_graph6_bitwise(data: bytes) -> sf.Graph:
+    """Reference decoder that reads one adjacency bit at a time, re-checking
+    the byte it sits in for every bit."""
+    data = data.rstrip(b"\r\n")
+    n, pos = _parse_graph6_header(data, 10 if data.startswith(b">>graph6<<") else 0)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    body = data[pos:]
+    if len(body) < nbytes:
+        raise GraphFormatError(
+            f"truncated adjacency bits: need {nbytes} bytes, got {len(body)}", len(data)
+        )
+    if len(body) > nbytes:
+        raise GraphFormatError("trailing bytes after adjacency bits", pos + nbytes)
+    edges = []
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for bit in range(6 * nbytes):
+        byte = body[bit // 6]
+        if not (63 <= byte <= 126):
+            raise GraphFormatError(
+                f"adjacency byte {byte} outside graph6 range 63..126", pos + bit // 6
+            )
+        if (byte - 63) >> (5 - bit % 6) & 1:
+            if bit >= nbits:
+                raise GraphFormatError("nonzero padding bit", pos + bit // 6)
+            edges.append(pairs[bit])
+    return sf.Graph(n, edges)
+
+
+def _outcome(parse, data: bytes):
+    try:
+        return parse(data)
+    except GraphFormatError as exc:
+        return (str(exc), exc.reason, exc.offset)
+
+
+def test_graph6_corrupted_records_fail_like_the_bitwise_reference():
+    rng = random.Random(4)
+    errors = set()
+    for _ in range(600):
+        n = rng.choice([rng.randint(0, 12), rng.randint(13, 80)])
+        g = random_graph(rng, n, rng.random() * 0.4)
+        data = bytearray(sf.write_graph6(g).encode())
+        if rng.random() < 0.2:
+            data[:0] = b">>graph6<<"
+        for _ in range(rng.randint(1, 3)):
+            cut = rng.randrange(len(data) + 1)
+            edit = rng.randrange(5)
+            if edit == 0 and cut < len(data):  # any byte value in place
+                data[cut] = rng.randrange(256)
+            elif edit == 1 and cut < len(data):  # a valid byte, padding bits too
+                data[cut] = rng.randint(63, 126)
+            elif edit == 2:
+                del data[cut:]
+            elif edit == 3:
+                data.insert(cut, rng.randrange(256))
+            elif data:  # the last byte, where the padding bits sit
+                data[-1] = rng.randint(63, 126)
+        ours, ref = _outcome(sf.parse_graph6, bytes(data)), _outcome(_parse_graph6_bitwise, bytes(data))
+        assert ours == ref, bytes(data)
+        if isinstance(ref, tuple):
+            errors.add(ref[1].split(" ")[0])
+    # every body error occurs: out-of-range, nonzero padding, truncated, trailing
+    assert {"adjacency", "nonzero", "truncated", "trailing"} <= errors
 
 
 # -- edge list ----------------------------------------------------------------

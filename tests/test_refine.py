@@ -7,7 +7,10 @@ from itertools import combinations
 import pytest
 
 import sparsity_forge as sf
+from sparsity_forge import refine
 from sparsity_forge.instances import random_sparse_graph
+from sparsity_forge.matroid import ForestEngine
+from sparsity_forge.pebble import PebbleGame
 from sparsity_forge.refine import _find_bad_sets, _find_bad_sets_naive
 
 from conftest import random_graph
@@ -93,25 +96,82 @@ def test_find_bad_sets_k5_and_forest():
     assert sf.find_bad_sets(tree, sf.full_edge_set(tree), 2, 1) == []
 
 
-def test_find_bad_sets_pruned_equals_naive(rng):
-    for _ in range(40):
-        n = rng.randint(5, 10)
-        k = rng.choice([2, 3])
-        s = rng.choice([1, 2]) if k == 3 else 1
-        if n < 2 * k + 1:
-            continue
-        g = random_graph(rng, n, 0.7 + 0.3 * rng.random())
-        ids = set()
-        from sparsity_forge.pebble import PebbleGame
+def test_find_bad_sets_rejects_an_edge_set_of_another_host():
+    k5 = sf.complete_graph(5)
+    # these ids lie inside K5's range, so they would name K5's own edges
+    other = sf.Graph(9, [(5, 6), (5, 7), (5, 8), (6, 7)])
+    with pytest.raises(ValueError, match="different host graph"):
+        sf.find_bad_sets(k5, sf.EdgeSet(other, range(4)), 2, 1)
+    # an id past K5's 10 edges, which an edge-range check would report instead
+    with pytest.raises(ValueError, match="different host graph"):
+        sf.find_bad_sets(k5, sf.EdgeSet(sf.complete_graph(6), [14]), 2, 1)
 
-        # any (k, 1-s)-sparse remainder works for the equivalence check
-        game = PebbleGame(g.n, k, s - 1)
-        for eid, (u, v) in enumerate(g.edges):
-            if game.insert(u, v):
-                ids.add(eid)
+
+def test_find_bad_sets_pruned_equals_naive(rng):
+    # k in 1..4 with s in 1..k+1 spans missing-pair budgets 0..k, so both the
+    # charged prefix and the common-neighbour extension run; dense remainders
+    # are compared as well as pebble-accepted (k, 1-s)-sparse ones
+    found = {"spent": 0, "open": 0}  # inputs with a bad set, by starting budget
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        s = rng.randint(1, k + 1)
+        n = rng.randint(2 * k + 1, 12)
+        g = random_graph(rng, n, 0.5 + 0.5 * rng.random())
+        if rng.random() < 0.5:
+            ids = set(range(g.e))
+        else:
+            game = PebbleGame(g.n, k, s - 1)
+            ids = {eid for eid, (u, v) in enumerate(g.edges) if game.insert(u, v)}
         fast = _find_bad_sets(g, ids, k, s)
         slow = _find_bad_sets_naive(g, ids, k, s)
         assert [b.sorted() for b in fast] == [b.sorted() for b in slow]
+        if fast:
+            found["spent" if s == 1 else "open"] += 1
+    assert found["spent"] and found["open"]
+
+
+def test_refinement_without_a_repair_builds_no_forest_engine(monkeypatch):
+    built = []
+
+    class SpyEngine(ForestEngine):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(refine, "ForestEngine", SpyEngine)
+    # triangle plus pendant edge, two triangle edges in the remainder
+    g = sf.Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    part = sf.ForestPartition(
+        g,
+        sf.EdgeSet(g, [g.edge_index[(2, 3)], g.edge_index[(0, 1)]]),
+        sf.EdgeSet(g, [g.edge_index[(0, 2)], g.edge_index[(1, 2)]]),
+    )
+    for instrument in (False, True):
+        trace = []
+        assert sf.eliminate_triangles(part, instrument=instrument, trace=trace) == part
+        assert trace == [0]
+    # K5 as a Hamiltonian path plus six remainder edges: no 5-set spans 10
+    k5 = sf.complete_graph(5)
+    path = [k5.edge_index[(i, i + 1)] for i in range(4)]
+    part = sf.ForestPartition(
+        k5, sf.EdgeSet(k5, path), sf.EdgeSet(k5, set(range(k5.e)) - set(path))
+    )
+    for instrument in (False, True):
+        trace = []
+        assert sf.brooks_refine(part, 2, 1, instrument=instrument, trace=trace) == part
+        assert trace == [0]
+    assert built == []
+    # a repair still builds its engine
+    edges = [(i, j) for j in range(5) for i in range(j)] + [(0, 5)]
+    host = sf.Graph(6, edges)
+    pend = host.edge_index[(0, 5)]
+    forced = sf.ForestPartition(
+        host,
+        sf.EdgeSet(host, [pend]),
+        sf.EdgeSet(host, [i for i in range(host.e) if i != pend]),
+    )
+    assert sf.brooks_refine(forced, 2, 1) != forced
+    assert len(built) == 1
 
 
 def test_brooks_refine_repairs_forced_bad_set():
