@@ -27,7 +27,7 @@ from .errors import TheoremViolationError
 from .graphs import EdgeSet, Graph, VertexSet, _Frozen
 from .partition import _forest_plus
 from .rationals import format_rational
-from .refine import ForestPartition, _acyclic, brooks_refine, eliminate_triangles
+from .refine import _acyclic, _SplitPartition, brooks_refine, eliminate_triangles
 from .sparsity import CASE_D2, CASE_SMALL_TRIANGLE_FREE, _plan, is_sparse
 
 
@@ -61,11 +61,13 @@ def decompose_ksw(g: Graph, m: Fraction | int) -> Decomposition:
     result = _forest_plus(g, plan)
     label = plan.case
     f, r = result.e1, result.e2
+    # refine runs no check on a _SplitPartition: verify_decomposition below
+    # re-checks what it returns
     if label == CASE_SMALL_TRIANGLE_FREE:
-        refined = eliminate_triangles(ForestPartition(g, f, r))
+        refined = eliminate_triangles(_SplitPartition(g, f, r))
         f, r = refined.F, refined.R
     elif label == CASE_D2:
-        refined = brooks_refine(ForestPartition(g, f, r), plan.k, plan.s)
+        refined = brooks_refine(_SplitPartition(g, f, r), plan.k, plan.s)
         f, r = refined.F, refined.R
     d = Decomposition(g, f, r, m, label)
     report = verify_decomposition(d)

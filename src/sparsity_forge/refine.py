@@ -16,6 +16,9 @@ instead of silently returning a wrong partition.  ``instrument=True`` re-runs
 the exact engine after every swap; ``trace`` collects the measure per
 iteration.
 
+Given the ``_SplitPartition`` of decompose_ksw, both procedures skip their
+precondition sweeps and the checks of the partition they return.
+
 Most remainders need no repair, so both procedures measure first and return
 the input partition itself when the measure is already 0; the forest engine
 is built only when a swap follows.  The low-potential sets are found by a
@@ -47,6 +50,20 @@ class ForestPartition(_Frozen):
             raise ValueError("forest and remainder do not cover the host")
         if not _acyclic(host, F.ids):
             raise ValueError("forest side contains a cycle")
+        _Frozen.__init__(self, host, F, R)
+
+
+class _SplitPartition(ForestPartition):
+    """A partition decompose_ksw makes of the split it has just built.
+
+    The decomposition's gate and the split's side checks imply every
+    precondition of the two procedures below, and verify_decomposition
+    re-checks what they return.  So this partition is built without the
+    checks, and the procedures run no sparsity sweep for it and return one
+    of its kind.
+    """
+
+    def __init__(self, host: Graph, F: EdgeSet, R: EdgeSet):
         _Frozen.__init__(self, host, F, R)
 
 
@@ -137,8 +154,10 @@ def eliminate_triangles(
     for it without breaking the pseudoforest or adding triangles back.
     """
     g = part.host
-    _require_sparse(g, _params(2, -1), "host")
-    _require_sparse(g.edge_subgraph(part.R.ids), _params(1, 0), "remainder")
+    trusted = isinstance(part, _SplitPartition)
+    if not trusted:
+        _require_sparse(g, _params(2, -1), "host")
+        _require_sparse(g.edge_subgraph(part.R.ids), _params(1, 0), "remainder")
     rem = _Remainder(g, part.R.ids)
     count = rem.triangle_count()
     if trace is not None:
@@ -187,7 +206,13 @@ def eliminate_triangles(
             if not is_sparse(g.edge_subgraph(rem.ids), _params(1, 0)).sparse:
                 raise VerificationError("remainder stopped being (1,0)-sparse")
         count = new_count
-    return ForestPartition(g, EdgeSet(g, forest.ids()), EdgeSet(g, rem.ids))
+    return _refined(g, forest, rem, trusted)
+
+
+def _refined(g: Graph, forest: ForestEngine, rem: _Remainder, trusted: bool) -> ForestPartition:
+    """The partition a repair loop ends with, checked unless ``trusted``."""
+    make = _SplitPartition if trusted else ForestPartition
+    return make(g, EdgeSet(g, forest.ids()), EdgeSet(g, rem.ids))
 
 
 def _swap_improves(rem: _Remainder, out_eid: int, in_eid: int) -> bool:
@@ -319,8 +344,10 @@ def brooks_refine(
     if not (1 <= s <= k - 1):
         raise ValueError("need 1 <= s <= k - 1")
     g = part.host
-    _require_sparse(g, _params(k + 1, -s), "host")
-    _require_sparse(g.edge_subgraph(part.R.ids), _params(k, 1 - s), "remainder")
+    trusted = isinstance(part, _SplitPartition)
+    if not trusted:
+        _require_sparse(g, _params(k + 1, -s), "host")
+        _require_sparse(g.edge_subgraph(part.R.ids), _params(k, 1 - s), "remainder")
     bad = _find_bad_sets(g, part.R.ids, k, s)
     if trace is not None:
         trace.append(len(bad))
@@ -387,7 +414,7 @@ def brooks_refine(
                         raise VerificationError(
                             "a set lost potential below the repair target"
                         )
-    return ForestPartition(g, EdgeSet(g, forest.ids()), EdgeSet(g, rem.ids))
+    return _refined(g, forest, rem, trusted)
 
 
 def _all_potentials(g: Graph, r_ids, k: int) -> dict[int, int]:

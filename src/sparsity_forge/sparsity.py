@@ -20,6 +20,16 @@ gathering pebbles on a game that has accepted every edge (see max_violation,
 which also states the witness conventions).  The density indices m, m2 and
 the pair density are one Dinkelbach ascent over max_violation.
 
+Edge order is free to a sweep that decides: the game greedily builds a basis
+of a count matroid, so its verdict, and what a certificate reads off the
+game it hands over, are the same in any order.  Graphs on more than 40 vertices are therefore swept in
+smallest-last peel order (``_sweep``), which spares the pebble searches most
+of their repeats.  Games whose output depends on the order keep input order:
+max_violation's negative-maximum witness sweep (its witness is the region of
+the first refused edge), random_sparse_graph (it keeps the edges a game
+accepts) and the engines of matroid_union_partition (they colour edges as
+they arrive).
+
 Parameters are immutable and, inside the package, built once: ``_params``
 keeps one SparsityParams per (a, b), with its pebble-game counts, and
 ``_plan`` the numbers of the forest-plus decomposition per m.
@@ -164,6 +174,73 @@ def potential(g: Graph, vertices: VertexSet | Iterable[int], a: RationalLike) ->
 
 _CUT_WITNESS_LIMIT = 40
 
+# Sweeps of graphs on more vertices than this insert their edges in peel
+# order.  On small graphs the order costs more than it saves: with the
+# order's own cost included, decisions ran 1.6-1.8x slower in peel order at
+# n = 8 (G(8, p) and random_sparse_graph hosts at the ten acceptance m),
+# 1.26x at n = 16, broke even near n = 30 and ran 0.91x at n = 40 and 60.
+_PEEL_ABOVE = 40
+
+
+def _peel_order(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The edges sorted by the peel position of their earlier-peeled end.
+
+    Smallest-last peeling (Matula & Beck): repeatedly remove a vertex of
+    least degree in what is left, found through a bucket queue per degree,
+    in O(n + e).  Each bucket is a stack, so among the vertices of least
+    degree the one whose degree fell last is peeled first (at the start,
+    the highest id).  Edges peeled at the same position keep input order.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    degree = [len(nb) for nb in adj]
+    buckets: list[list[int]] = [[] for _ in range(max(degree, default=0) + 1)]
+    for v in range(n):
+        buckets[degree[v]].append(v)
+    position = [-1] * n
+    d = 0
+    for i in range(n):
+        while True:  # stale entries (peeled, or degree since fallen) are skipped
+            bucket = buckets[d]
+            if not bucket:
+                d += 1
+                continue
+            v = bucket.pop()
+            if position[v] < 0 and degree[v] == d:
+                break
+        position[v] = i
+        for w in adj[v]:
+            if position[w] < 0:
+                dw = degree[w] - 1
+                degree[w] = dw
+                buckets[dw].append(w)
+        if d:  # removing v lowers the least degree by at most one
+            d -= 1
+    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e in edges:
+        pu, pv = position[e[0]], position[e[1]]
+        at[pu if pu < pv else pv].append(e)
+    return [e for group in at for e in group]
+
+
+def _sweep(g: Graph, game: PebbleGame) -> bool:
+    """Insert every edge of g into ``game``; True iff the game accepts all.
+
+    Above _PEEL_ABOVE vertices the edges go in peel order (_peel_order):
+    forward for games with l > 0, reversed, densest core first, for l = 0
+    (the (a, 0) gates and the elongated games).  is_sparse says why the
+    order changes no output.
+    """
+    edges = g.edges
+    if g.n > _PEEL_ABOVE:
+        edges = _peel_order(g.n, edges)
+        if not game.l:
+            edges.reverse()
+    insert = game.insert
+    return all(insert(u, v) for u, v in edges)
+
 
 def max_violation(
     g: Graph, a: RationalLike, _accepted: PebbleGame | None = None
@@ -193,6 +270,11 @@ def max_violation(
     placed every copy of every edge of g, in place of a zero-slack sweep
     (gather counts and stalled regions do not depend on the game's l or on
     its orientation, so the answer is the same).
+
+    Sweep order: the zero-slack sweep decides only whether every edge fits,
+    so on large graphs it runs in peel order (_sweep).  The negative-maximum
+    witness sweep must keep input order: its witness is the region of the
+    first edge it refuses, and another order may refuse another edge first.
     """
     a = Fraction(a)
     if a <= 0:
@@ -214,7 +296,7 @@ def max_violation(
             if umax:
                 return Fraction(0), VertexSet(g, umax)
         game = PebbleGame.scaled(g.n, a, 0)
-        if not all(game.insert(u, v) for u, v in g.edges):
+        if not _sweep(g, game):
             # refused at zero slack: positive, witnessed by the minimal cut side
             value, umin, _ = selection_max(g.n, g.edges, p, q)
             if value <= 0:
@@ -262,6 +344,25 @@ def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:
     the certificate's witness and numbers are exact, and computed by
     max_violation the first time one of them is read; a game that placed
     every copy is handed over in place of a fresh zero-slack sweep.
+
+    The sweep runs in peel order above 40 vertices (_sweep), and every output
+    is the same as in input order:
+    * for b <= 0 the game accepts every edge exactly when the blow-up is
+      independent, in any order;
+    * for b > 0 the copies it places are the blow-up's rank in any order, so
+      whether ``unplaced <= room`` holds, and whether the game placed every
+      copy, do not depend on it either;
+    * a sparse sweep's certificate reads gather counts and ``last_region``
+      off the handed-over game, and neither depends on its orientation;
+    * a refusal hands over no game.
+    Measured on random_sparse_graph hosts (CPU time on a 2-core host, the
+    order's own cost included, medians of three runs): reversed, the (m, 0)
+    gates at n = 3000 went from 640 to 187 ms at m = 20/7, 483 to 182 at
+    19/10, 113 to 88 at 5/2 and 179 to 97 at 7.  Forward, the (7, -13)
+    checks of the remainder at n = 600 ran about 2x faster, and the
+    (8, -14) host sweep at n = 3000 went from 124 to 63 ms; but host sweeps
+    at (2, -1) and (3, -1) went from 11 to 23 and from 16 to 63 ms.  The
+    decomposition no longer runs those two.
     """
     _require_regular(params)
     if g.n <= 1:
@@ -273,7 +374,7 @@ def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:
             params=params,
         )
     game = PebbleGame._counted(g.n, *params._counts)
-    sparse = all(game.insert(u, v) for u, v in g.edges)
+    sparse = _sweep(g, game)
     accepted = game if sparse and not game.unplaced else None
     return SparsityCertificate._exact_on_read(
         sparse, params, lambda: max_violation(g, params.a, _accepted=accepted)

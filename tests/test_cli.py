@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsity_forge as sf
-from sparsity_forge import cli
+from sparsity_forge import cli, instances
 from sparsity_forge.cli import main
 
 
@@ -419,6 +419,13 @@ def test_bench_failed_check_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_decomposition", lambda d: failing)
     code, _, err = run_cli(capsys, ["bench", "decompose", "--sizes", "24", "--m", "5/2"])
     assert code == 2 and err.startswith("error:") and "verify_decomposition" in err
+
+
+def test_bench_refuses_a_host_that_is_not_sparse(capsys, monkeypatch):
+    # the bench sweeps no gate of its own: decompose_ksw's refusal is reported
+    monkeypatch.setattr(instances, "random_sparse_graph", lambda n, m, rng: sf.complete_graph(7))
+    code, _, err = run_cli(capsys, ["bench", "decompose", "--sizes", "24", "--m", "5/2"])
+    assert code == 2 and err == "error: generated host n=24 is not (5/2, 0)-sparse\n"
 
 
 def test_bench_unknown_suite(capsys):

@@ -135,8 +135,7 @@ def test_integer_thresholds_match_their_fraction_forms():
 
 
 def test_each_host_sweep_runs_once(monkeypatch):
-    # one decomposition sweeps the whole host at most once per (a, b): the
-    # (m, 0) gate, and at 9/5 <= m < 2 eliminate_triangles' (2, -1) check
+    # one decomposition sweeps the whole host once: the (m, 0) gate
     real = sf.is_sparse
     # the submodules that bind it; the package only reads sparsity's binding,
     # and patching it there would leave a copy in its namespace after undo
@@ -155,7 +154,38 @@ def test_each_host_sweep_runs_once(monkeypatch):
             monkeypatch.setattr(mod, "is_sparse", spy)
         sf.decompose_ksw(host, m)
         monkeypatch.undo()
-        assert sweeps[m, 0] == 1 and max(sweeps.values()) == 1, (m, dict(sweeps))
+        assert sweeps == Counter({(m, 0): 1}), (m, dict(sweeps))
+
+
+def test_refine_cases_sweep_only_the_gate_sides_and_final_check(monkeypatch):
+    # decompose_ksw hands refine the split it just built: refine sweeps
+    # nothing, and its result equals what the checked public route returns
+    real = sf.is_sparse
+    modules = [mod for name, mod in sys.modules.items()
+               if name.startswith("sparsity_forge.") and vars(mod).get("is_sparse") is real]
+    for m, label in ((Fraction(19, 10), sparsity.CASE_SMALL_TRIANGLE_FREE),
+                     (Fraction(20, 7), sparsity.CASE_D2)):
+        host = random_sparse_graph(60, m, random.Random(16))
+        sweeps = []
+
+        def spy(g, params):
+            sweeps.append((params.a, params.b))
+            return real(g, params)
+
+        for mod in modules:
+            monkeypatch.setattr(mod, "is_sparse", spy)
+        d = sf.decompose_ksw(host, m)
+        monkeypatch.undo()
+        plan = sparsity._plan(m)
+        assert d.trace == label
+        assert sweeps == [(m, 0), (1, -1), (plan.k, 1 - plan.s), (m, 1 - 2 * m)]
+        split = sf.partition_forest_plus(host, plan.k, m - plan.k)
+        part = sf.ForestPartition(host, split.e1, split.e2)
+        if label == sparsity.CASE_D2:
+            checked = sf.brooks_refine(part, plan.k, plan.s)
+        else:
+            checked = sf.eliminate_triangles(part)
+        assert (d.F, d.Gp) == (checked.F, checked.R)
 
 
 def test_d1_beats_d2_in_overlap():

@@ -5,6 +5,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -478,3 +479,58 @@ def test_decision_only_callers_never_compute_the_maximum(monkeypatch):
                     ids.append(eid)
             refused += g.e - len(ids)
     assert refused and calls == [] and cuts == []
+
+
+def test_peel_order_is_smallest_last_and_a_permutation():
+    # a triangle 0-1-2 with a tail 2-3-4 and an isolated vertex 5: peeled
+    # 5, 4, 3, then 2 (its degree fell last among the three of degree 2),
+    # 1 and 0; (0, 2) and (1, 2), both peeled with 2, keep input order
+    edges = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]
+    assert sparsity._peel_order(6, edges) == [(3, 4), (2, 3), (0, 2), (1, 2), (0, 1)]
+    assert sparsity._peel_order(3, []) == []
+    rng = random.Random(16)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 60), rng.random())
+        order = sparsity._peel_order(g.n, g.edges)
+        assert sorted(order) == list(g.edges)
+
+
+def _two_k4s_on_70():
+    # K4 on {0..3} and K4 on {4, 5, 6, 69}: in input order the first K4 is
+    # refused first at (2, -3), in peel order the second (it holds the
+    # highest id, so it is peeled first)
+    perm = [0, 1, 2, 3, 4, 5, 6, 69] + list(range(7, 69))
+    k4s = sf.Graph(8, list(combinations(range(4), 2)) + list(combinations(range(4, 8), 2)))
+    return k4s, Fraction(2), Fraction(0), perm
+
+
+@st.composite
+def padded_graphs_and_params(draw):
+    n = draw(st.integers(2, 12))
+    pairs = list(combinations(range(n), 2))
+    g = sf.Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)))
+    a = draw(st.fractions(Fraction(1, 10), 7, max_denominator=10))
+    sign = draw(st.sampled_from((-1, 0, 1)))
+    b = sign * draw(st.fractions(Fraction(1, 10), 8, max_denominator=10))
+    assume(2 * a + b >= 1)
+    perm = draw(st.permutations(range(draw(st.integers(41, 70)))))
+    return g, a, b, perm
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(padded_graphs_and_params())
+@example(_two_k4s_on_70())
+def test_peel_ordered_sweeps_keep_verdicts_and_certificates(case):
+    # isolated vertices and a relabelling send a small graph down the
+    # peel-ordered sweeps; neither changes the maximum over |U| >= 2
+    g, a, b, perm = case
+    padded = sf.Graph(len(perm), [(perm[u], perm[v]) for u, v in g.edges])
+    params = sf.SparsityParams(a, b)
+    cert = sf.is_sparse(padded, params)
+    slow = sf.brute_sparse(g, a, b)
+    assert cert.sparse == slow.sparse
+    record = cert.to_json_dict()  # reads every lazy field
+    assert cert.max_violation == slow.max_violation
+    assert padded.induced_edge_count(cert.witness.ids) - a * len(cert.witness) == -slow.min_potential
+    with mock.patch.object(sparsity, "_peel_order", lambda n, edges: list(edges)):
+        assert sf.is_sparse(padded, params).to_json_dict() == record
