@@ -177,13 +177,13 @@ def cmd_bench(args) -> int:
     from .decompose import decompose_ksw
     from .graphs import write_graph6
     from .instances import random_sparse_graph
-    from .rationals import parse_rational
+    from .rationals import format_rational, parse_rational
 
-    m = parse_rational(args.m)
+    ms = [parse_rational(text) for text in args.m.split(",") if text]
     sizes = [int(s) for s in args.sizes.split(",") if s]
     print(f"{'n':>6} {'e':>7} {'hash':>12} {'gen_ms':>9} {'split_ms':>9} "
-          f"{'verify_ms':>9} {'total_ms':>9}  case")
-    for n in sizes:
+          f"{'verify_ms':>9} {'total_ms':>9}  case m")
+    for m, n in [(m, n) for m in ms for n in sizes]:
         rng = random.Random(args.seed + n)
         t0 = time.perf_counter()
         g = random_sparse_graph(n, m, rng)
@@ -191,7 +191,9 @@ def cmd_bench(args) -> int:
         try:  # decompose_ksw gates the host on (m, 0) itself
             d = decompose_ksw(g, m)
         except NotSparseError:
-            raise VerificationError(f"generated host n={n} is not ({args.m}, 0)-sparse") from None
+            raise VerificationError(
+                f"generated host n={n} is not ({format_rational(m)}, 0)-sparse"
+            ) from None
         t2 = time.perf_counter()
         ok = bool(verify_decomposition(d))
         t3 = time.perf_counter()
@@ -201,7 +203,7 @@ def cmd_bench(args) -> int:
         print(
             f"{n:>6} {g.e:>7} {digest:>12} {(t1 - t0) * 1e3:>9.1f} "
             f"{(t2 - t1) * 1e3:>9.1f} {(t3 - t2) * 1e3:>9.1f} "
-            f"{(t3 - t0) * 1e3:>9.1f}  {d.trace}"
+            f"{(t3 - t0) * 1e3:>9.1f}  {d.trace} {format_rational(m)}"
         )
     return EXIT_YES
 
@@ -253,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", help="bench suite name (decompose)")
     p.add_argument("--sizes", default="100,200,500", help="comma-separated vertex counts")
     p.add_argument("--seed", type=int, default=20250801)
-    p.add_argument("--m", default="5/2", help="density bound for generated instances")
+    p.add_argument("--m", default="5/2", help="comma-separated density bounds, e.g. 3/2,7")
     p.set_defaults(func=cmd_bench)
     return top
 

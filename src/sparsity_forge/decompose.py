@@ -4,7 +4,10 @@ Given m > 1 and an (m, 0)-sparse graph, produce a partition into a forest F
 and a remainder that is (m, 1-2m)-sparse.  Every m takes one route: write
 m = k + eps, split the host into a forest and a (k, 1-s)-sparse rest with
 s = forest_slack(k, eps) (partition_forest_plus, which also gates (m, 0)),
-then refine the rest where its (k, 1-s) bound is too weak:
+then refine the rest where its (k, 1-s) bound is too weak.  For k >= 2 and
+eps <= 1/2 the split is usually the greedy spanning forest and its
+complement, decided by one sweep; the matroid union runs only when that
+sweep refuses, and the split is the same either way.  The refinement:
 
 * k = 1, eps < 4/5 (m < 9/5): s = 2, so the rest is a second forest, which
   is already good;

@@ -89,6 +89,15 @@ class Graph(_Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(canon))
 
+    @classmethod
+    def _trusted(cls, n: int, edges: list[tuple[int, int]]) -> "Graph":
+        """The Graph(n, edges) of pairs already canonical (u < v), in range,
+        distinct and sorted: nothing is checked or sorted again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", tuple(edges))
+        return g
+
     @property
     def e(self) -> int:
         return len(self.edges)
@@ -136,10 +145,7 @@ class Graph(_Frozen):
         if len(set(ids)) < len(ids):
             bad = next(i for i, j in zip(ids, ids[1:]) if i == j)
             raise ValueError(f"edge id {bad} repeated")
-        sub = object.__new__(Graph)
-        object.__setattr__(sub, "n", self.n)
-        object.__setattr__(sub, "edges", tuple([self.edges[i] for i in ids]))
-        return sub
+        return Graph._trusted(self.n, [self.edges[i] for i in ids])
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, e={self.e})"
@@ -343,7 +349,10 @@ def parse_graph6(text: str | bytes) -> Graph:
     # the low 6*nbytes - nbits bits of the last byte pad the triangle
     if nbytes and (body[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
         raise GraphFormatError("nonzero padding bit", pos + nbytes - 1)
-    return Graph(n, edges)
+    # with no padding bit set, every pair is a distinct (i, j), i < j < n;
+    # they arrive column by column, so only the order needs fixing
+    edges.sort()
+    return Graph._trusted(n, edges)
 
 
 def write_graph6(g: Graph) -> str:

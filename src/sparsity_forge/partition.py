@@ -21,7 +21,7 @@ from collections import deque
 from fractions import Fraction
 
 from .errors import NotSparseError, TheoremViolationError, VerificationError
-from .graphs import EdgeSet, Graph, _Frozen
+from .graphs import EdgeSet, Graph, UnionFind, _Frozen
 from .matroid import CountMatroidOracle, engine_for, make_oracle
 from .rationals import format_rational
 from .sparsity import _params, _Plan, _plan, is_sparse
@@ -202,6 +202,10 @@ def partition_forest_plus(g: Graph, k: int, eps: Fraction | int) -> PartitionRes
     """Split a (k+eps, 0)-sparse graph into a forest and a (k, 1-s)-sparse part,
     where s = forest_slack(k, eps).  Guaranteed total: a deficiency on a
     certified input would contradict the guarantee and raises loudly.
+
+    The split is the one matroid_union_partition returns for the (1, -1)
+    and (k, 1-s) oracles; for k >= 2 and eps <= 1/2 it is usually found
+    without the union (see _forest_plus).
     """
     eps = eps if isinstance(eps, Fraction) else Fraction(eps)
     if not isinstance(k, int) or k < 1 or not (0 <= eps < 1):
@@ -210,7 +214,16 @@ def partition_forest_plus(g: Graph, k: int, eps: Fraction | int) -> PartitionRes
 
 
 def _forest_plus(g: Graph, plan: _Plan) -> PartitionResult:
-    """partition_forest_plus at the m of ``plan``, which has k >= 1."""
+    """partition_forest_plus at the m of ``plan``, which has k >= 1.
+
+    Where ``plan.forest_first`` holds, the greedy spanning forest F0 in
+    ascending id order is taken first, and its complement R0 is swept once
+    at (k, 1-s).  If R0 is independent, (F0, R0) is exactly what the union
+    returns: the union places edges in ascending id order, side 1 first, so
+    side 1 takes F0's edges; every other edge fits side 2, a subset of R0,
+    so no exchange chain ever runs.  If R0 is dependent, the union runs as
+    on every other plan.
+    """
     cert = is_sparse(g, plan.gate)
     if not cert.sparse:
         raise NotSparseError(
@@ -219,6 +232,17 @@ def _forest_plus(g: Graph, plan: _Plan) -> PartitionResult:
     k, s = plan.k, plan.s
     m1 = make_oracle(g, 1, -1)
     m2 = make_oracle(g, k, 1 - s)
+    if plan.forest_first:
+        uf = UnionFind(g.n)
+        forest: list[int] = []
+        rest: list[int] = []
+        for eid, (u, v) in enumerate(g.edges):
+            (forest if uf.union(u, v) else rest).append(eid)
+        e1, e2 = EdgeSet(g, forest), EdgeSet(g, rest)
+        if m2.is_independent(e2):
+            if not m1.is_independent(e1):
+                raise VerificationError("the greedy forest has a cycle; this is a bug")
+            return PartitionResult(success=True, e1=e1, e2=e2)
     result = matroid_union_partition(g, m1, m2)
     if not result.success:
         raise TheoremViolationError(

@@ -413,6 +413,25 @@ def test_bench_deterministic_and_consistent(capsys):
         assert abs((check_ms + split_ms + verify_ms) - total_ms) <= 0.05 * total_ms + 0.5
 
 
+def test_bench_runs_each_m_of_a_list(capsys):
+    # one row per (m, n), m outer; the m column follows the case label, and
+    # each row matches the row of a single-m run
+    argv = ["bench", "decompose", "--sizes", "24,40", "--seed", "7", "--m", "3/2,7"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header.split()[-2:] == ["case", "m"]
+    rows = [row.split() for row in rows]
+    assert [(row[0], row[-2], row[-1]) for row in rows] == [
+        ("24", "small_m_two_forests", "3/2"), ("40", "small_m_two_forests", "3/2"),
+        ("24", "large_m_case_A", "7"), ("40", "large_m_case_A", "7"),
+    ]
+    for m, chunk in (("3/2", rows[:2]), ("7", rows[2:])):
+        code, single, _ = run_cli(capsys, argv[:-1] + [m])
+        assert code == 0
+        assert [row.split()[:3] for row in single.splitlines()[1:]] == [row[:3] for row in chunk]
+
+
 def test_bench_failed_check_exits_2(capsys, monkeypatch):
     # the bench's own checks raise, so they still hold under python -O
     failing = sf.VerificationReport(ok=False, problems=("F contains a cycle",))

@@ -154,6 +154,19 @@ def test_graph6_roundtrip_property(g):
     assert sf.parse_graph6(text.encode() + b"\n") == g
 
 
+@settings(max_examples=200, derandomize=True)
+@given(graphs_crossing_the_long_header())
+def test_parsed_graph_is_the_checked_constructors_graph(g):
+    # parse_graph6 builds its Graph without the constructor's checks; the
+    # result must be the one the checked constructor builds from its pairs
+    parsed = sf.parse_graph6(sf.write_graph6(g))
+    rebuilt = sf.Graph(parsed.n, parsed.edges)
+    assert parsed == rebuilt == g
+    assert type(parsed) is sf.Graph and type(parsed.edges) is tuple
+    assert parsed.adjacency == rebuilt.adjacency
+    assert parsed.edge_index == rebuilt.edge_index
+
+
 def test_graph6_optional_header_prefix():
     assert sf.parse_graph6(">>graph6<<Bw") == sf.complete_graph(3)
 

@@ -79,16 +79,17 @@ VALUES = {
     ),
     "_Plan": (
         sparsity._Plan,
-        (2, "large_m_case_D3", 1, FIVE_HALVES.gate, FIVE_HALVES.final),
+        (2, "large_m_case_D3", 1, FIVE_HALVES.gate, FIVE_HALVES.final, True),
         {
             "k": 2,
             "case": "large_m_case_D3",
             "s": 1,
             "gate": FIVE_HALVES.gate,
             "final": FIVE_HALVES.final,
+            "forest_first": True,
         },
         "_Plan(k=2, case='large_m_case_D3', s=1, gate=SparsityParams(5/2, 0), "
-        "final=SparsityParams(5/2, -4))",
+        "final=SparsityParams(5/2, -4), forest_first=True)",
     ),
     "CountMatroidOracle": (
         sf.CountMatroidOracle,

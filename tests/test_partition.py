@@ -1,5 +1,7 @@
 """Matroid-union partitioning: successes, deficiencies, guarantees."""
 
+import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsity_forge as sf
+from sparsity_forge import matroid, partition, sparsity
 from sparsity_forge.errors import NotSparseError
+from sparsity_forge.instances import random_sparse_graph
 
 from conftest import atlas_graphs
 
@@ -128,6 +132,98 @@ def test_forest_plus_all_seven_vertex_graphs_at_two_and_a_third():
         assert res.success
         count += 1
     assert count > 400
+
+
+# -- forest-first split: k >= 2 and eps <= 1/2 --------------------------------
+
+# the acceptance values of m that take the forest-first split, and some that do not
+_FOREST_FIRST_M = [Fraction(2), Fraction(7, 3), Fraction(5, 2), Fraction(3),
+                   Fraction(10, 3), Fraction(4), Fraction(7)]
+_UNION_ONLY_M = [Fraction(6, 5), Fraction(3, 2), Fraction(9, 5), Fraction(19, 10),
+                 Fraction(18, 7), Fraction(11, 4), Fraction(20, 7)]
+
+
+def _union_split(g, plan):
+    """The split of the matroid union alone, which the forest-first one must equal."""
+    m1, m2 = sf.make_oracle(g, 1, -1), sf.make_oracle(g, plan.k, 1 - plan.s)
+    return sf.matroid_union_partition(g, m1, m2)
+
+
+def _spy_engine_for(monkeypatch):
+    """Count engine_for calls through every module that binds it."""
+    real = matroid.engine_for
+    calls = []
+
+    def spy(oracle):
+        calls.append((oracle.a, oracle.b))
+        return real(oracle)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("sparsity_forge.") and vars(mod).get("engine_for") is real:
+            monkeypatch.setattr(mod, "engine_for", spy)
+    return calls
+
+
+def test_forest_first_split_is_the_unions_split(monkeypatch):
+    calls = _spy_engine_for(monkeypatch)
+    routes = set()  # (n, ran the union) over the forest-first hosts
+    for m in _FOREST_FIRST_M + _UNION_ONLY_M:
+        plan = sparsity._plan(m)
+        assert plan.forest_first == (m in _FOREST_FIRST_M), m  # k >= 2 and eps <= 1/2
+        for n in (8, 60, 200):
+            for seed in range(4 if n == 8 else 1):
+                g = random_sparse_graph(n, m, random.Random(100 * n + seed))
+                before = len(calls)
+                split = partition._forest_plus(g, plan)
+                ran_union = len(calls) > before
+                assert split == _union_split(g, plan), (m, n, seed)
+                if plan.forest_first:
+                    routes.add((n, ran_union))
+                else:
+                    assert ran_union, (m, n, seed)
+    # every host at n >= 60 skips the union; tight hosts at n = 8 take both routes
+    assert routes == {(8, False), (8, True), (60, False), (200, False)}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_forest_first_split_is_the_unions_split_property(data):
+    m = data.draw(st.sampled_from(_FOREST_FIRST_M), label="m")
+    n = data.draw(st.integers(2, 9), label="n")
+    all_pairs = list(combinations(range(n), 2))
+    e = data.draw(st.integers(0, min(len(all_pairs), int(m * n))), label="edges")
+    g = sf.Graph(n, data.draw(st.permutations(all_pairs), label="pairs")[:e])
+    plan = sparsity._plan(m)
+    if not sf.is_sparse(g, plan.gate).sparse:
+        with pytest.raises(NotSparseError):
+            partition._forest_plus(g, plan)
+        return
+    assert partition._forest_plus(g, plan) == _union_split(g, plan)
+
+
+def test_forest_first_falls_back_to_the_union_on_k5(monkeypatch):
+    # the greedy forest of K5 is the star at 0; the rest is the K4 on 1..4,
+    # with 6 > 2*4 - 3 edges, so it is not (2, -3)-sparse and the union runs
+    k5 = sf.complete_graph(5)
+    plan = sparsity._plan(Fraction(2))
+    assert (plan.k, plan.s, plan.forest_first) == (2, 4, True)
+    calls = _spy_engine_for(monkeypatch)
+    split = partition._forest_plus(k5, plan)
+    assert calls == [(1, -1), (2, -3)]
+    assert split == _union_split(k5, plan)
+    assert split.e1.ids != {0, 1, 2, 3}  # not the star
+    d = sf.decompose_ksw(k5, 2)
+    assert (d.F, d.Gp) == (split.e1, split.e2)
+    assert sf.verify_decomposition(d)
+
+
+def test_decompose_runs_the_union_only_where_the_forest_first_split_fails(monkeypatch):
+    calls = _spy_engine_for(monkeypatch)
+    sf.decompose_ksw(random_sparse_graph(200, 7, random.Random(1)), 7)
+    assert calls == []
+    m = Fraction(20, 7)
+    sf.decompose_ksw(random_sparse_graph(200, m, random.Random(1)), m)
+    assert calls == [(1, -1), (2, 0)]  # s = forest_slack(2, 6/7) = 1
 
 
 def test_k_forest_and_k_pseudoforest_splits(rng):
