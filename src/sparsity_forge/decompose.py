@@ -1,13 +1,20 @@
 """The forest-plus-sparse decomposition pipeline.
 
 Given m > 1 and an (m, 0)-sparse graph, produce a partition into a forest F
-and a remainder that is (m, 1-2m)-sparse.  Every m takes one route: write
-m = k + eps, split the host into a forest and a (k, 1-s)-sparse rest with
-s = forest_slack(k, eps) (partition_forest_plus, which also gates (m, 0)),
-then refine the rest where its (k, 1-s) bound is too weak.  For k >= 2 and
-eps <= 1/2 the split is usually the greedy spanning forest and its
-complement, decided by one sweep; the matroid union runs only when that
-sweep refuses, and the split is the same either way.  The refinement:
+and a remainder that is (m, 1-2m)-sparse.  Write m = k + eps and
+s = forest_slack(k, eps).  The host is gated once at (m, 0), and the greedy
+spanning forest F0 in ascending id order is tried first:
+
+* for k >= 2 and eps <= 1/2 (``forest_first``), its rest R0 is swept at
+  (k, 1-s) inside the split (partition_forest_plus): (F0, R0) if R0
+  passes, the matroid union's split if not.  No refinement follows;
+* for every other m, R0 is swept once at (m, 1-2m).  The theorem asks only
+  for some forest whose rest passes that bound, so if R0 passes, (F0, R0)
+  is the answer and the sweep was its final check.  Only if it refuses
+  does the constructive route run: the matroid union's split, then a
+  refinement where the rest's (k, 1-s) bound is too weak.
+
+The refinement:
 
 * k = 1, eps < 4/5 (m < 9/5): s = 2, so the rest is a second forest, which
   is already good;
@@ -17,9 +24,9 @@ sweep refuses, and the split is the same either way.  The refinement:
   (case D2 below), where the low-potential (2k+1)-sets are repaired by
   brooks_refine.
 
-The case analysis is a routing device only: every outcome is re-checked by
-verify_decomposition, and a failed check raises instead of returning a bad
-decomposition.
+The case label names m's case even when the greedy try ends the route.  It
+is a routing device only: every outcome is checked at (m, 1-2m), and a
+failed check raises instead of returning a bad decomposition.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from fractions import Fraction
 
 from .errors import TheoremViolationError
 from .graphs import EdgeSet, Graph, VertexSet, _Frozen
-from .partition import _forest_plus
+from .partition import _gate, _greedy_forest, _split
 from .rationals import format_rational
 from .refine import _acyclic, _SplitPartition, brooks_refine, eliminate_triangles
 from .sparsity import CASE_D2, CASE_SMALL_TRIANGLE_FREE, _plan, is_sparse
@@ -57,12 +64,21 @@ def decompose_ksw(g: Graph, m: Fraction | int) -> Decomposition:
 
     Raises NotSparseError (with certificate) when the input fails the
     hypothesis, ValueError for m <= 1, and TheoremViolationError if the
-    result fails verify_decomposition.
+    result fails its final check (verify_decomposition's, on the
+    constructive route).
     """
     m = _above_one(m)
     plan = _plan(m)
-    result = _forest_plus(g, plan)
+    _gate(g, plan)
     label = plan.case
+    if not plan.forest_first:
+        forest, rest = _greedy_forest(g)
+        # a refusal reads only the verdict: its witness would cost a min-cut
+        if is_sparse(g.edge_subgraph(rest), plan.final).sparse:
+            if not _acyclic(g, forest):
+                raise TheoremViolationError(f"case {label}: the greedy forest has a cycle")
+            return Decomposition(g, EdgeSet(g, forest), EdgeSet(g, rest), m, label)
+    result = _split(g, plan)
     f, r = result.e1, result.e2
     # refine runs no check on a _SplitPartition: verify_decomposition below
     # re-checks what it returns

@@ -213,8 +213,34 @@ def partition_forest_plus(g: Graph, k: int, eps: Fraction | int) -> PartitionRes
     return _forest_plus(g, _plan(k + eps))
 
 
+def _gate(g: Graph, plan: _Plan) -> None:
+    """Raise NotSparseError, with its certificate, unless g is (m, 0)-sparse."""
+    cert = is_sparse(g, plan.gate)
+    if not cert.sparse:
+        raise NotSparseError(
+            f"input is not ({format_rational(plan.gate.a)}, 0)-sparse", certificate=cert
+        )
+
+
+def _greedy_forest(g: Graph) -> tuple[list[int], list[int]]:
+    """The greedy spanning forest of g in ascending id order, and the other
+    edges: two ascending lists of ids that partition E(g)."""
+    uf = UnionFind(g.n)
+    forest: list[int] = []
+    rest: list[int] = []
+    for eid, (u, v) in enumerate(g.edges):
+        (forest if uf.union(u, v) else rest).append(eid)
+    return forest, rest
+
+
 def _forest_plus(g: Graph, plan: _Plan) -> PartitionResult:
-    """partition_forest_plus at the m of ``plan``, which has k >= 1.
+    """partition_forest_plus at the m of ``plan``, which has k >= 1."""
+    _gate(g, plan)
+    return _split(g, plan)
+
+
+def _split(g: Graph, plan: _Plan) -> PartitionResult:
+    """_forest_plus on a host that has already passed ``plan.gate``.
 
     Where ``plan.forest_first`` holds, the greedy spanning forest F0 in
     ascending id order is taken first, and its complement R0 is swept once
@@ -224,20 +250,11 @@ def _forest_plus(g: Graph, plan: _Plan) -> PartitionResult:
     so no exchange chain ever runs.  If R0 is dependent, the union runs as
     on every other plan.
     """
-    cert = is_sparse(g, plan.gate)
-    if not cert.sparse:
-        raise NotSparseError(
-            f"input is not ({format_rational(plan.gate.a)}, 0)-sparse", certificate=cert
-        )
     k, s = plan.k, plan.s
     m1 = make_oracle(g, 1, -1)
     m2 = make_oracle(g, k, 1 - s)
     if plan.forest_first:
-        uf = UnionFind(g.n)
-        forest: list[int] = []
-        rest: list[int] = []
-        for eid, (u, v) in enumerate(g.edges):
-            (forest if uf.union(u, v) else rest).append(eid)
+        forest, rest = _greedy_forest(g)
         e1, e2 = EdgeSet(g, forest), EdgeSet(g, rest)
         if m2.is_independent(e2):
             if not m1.is_independent(e1):

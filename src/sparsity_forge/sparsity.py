@@ -28,10 +28,11 @@ of their repeats.  Games whose output depends on the order keep input order:
 max_violation's negative-maximum witness sweep (its witness is the region of
 the first refused edge), random_sparse_graph (it keeps the edges a game
 accepts) and the engines of matroid_union_partition (they colour edges as
-they arrive).  So does the greedy forest of the forest-first split
-(partition._forest_plus): it is built in ascending id order, as the union
-would build its first side.  The sweep that then checks the rest only
-decides, and runs in peel order.
+they arrive).  So does the greedy spanning forest that the decomposition
+tries first (partition._greedy_forest): it is built in ascending id order,
+as the union would build its first side.  The sweep that then checks its
+rest, at (k, 1-s) in the forest-first split and at (m, 1-2m) for every
+other m, only decides, and runs in peel order.
 
 Parameters are immutable and, inside the package, built once: ``_params``
 keeps one SparsityParams per (a, b), with its pebble-game counts, and
@@ -520,18 +521,23 @@ class _Plan(_Frozen):
     """The numbers of the forest-plus decomposition at one m = k + eps > 0.
 
     ``gate`` is the (m, 0) hypothesis and ``final`` the (m, 1-2m) bound on
-    the rest.  For k >= 1, ``s`` = forest_slack(k, eps) and ``case`` is the
-    route decompose_ksw takes; below m = 1 both are None.
+    the rest.  For k >= 1, ``s`` = forest_slack(k, eps) and ``case`` names
+    m's case of the constructive route (which refinement follows the split);
+    decompose_ksw reports it even when its greedy try ends the route.  Below
+    m = 1 both are None.
 
-    ``forest_first`` holds for k >= 2 and eps <= 1/2: there the forest-plus
-    split tries the greedy spanning forest first, and runs the matroid union
-    only when the rest is not (k, 1-s)-sparse (partition._forest_plus).
-    Measured pass rates of that rest set the rule.  It passed on every
-    random_sparse_graph host at n = 200 and 1000 over 60 such m, and on
-    88-100% of the sparse G(8, p) graphs per acceptance m.  It failed on
-    most hosts at n = 40 to 300 at 3/2, 9/5, 19/10, 11/4, 20/7, 34/9, 8/3
-    and 15/4, where a failed try only adds a sweep.  (The line is not
-    sharp: 18/7 and 6/5 passed.)
+    Every m tries the greedy spanning forest first.  ``forest_first`` holds
+    for k >= 2 and eps <= 1/2: there the forest-plus split tests its rest at
+    (k, 1-s), and runs the matroid union only when the rest fails
+    (partition._split); the split is the union's either way.  That rest
+    passed on every random_sparse_graph host at n = 200 and 1000 over 60
+    such m, and on 88-100% of the sparse G(8, p) graphs per acceptance m.
+    At every other m the (k, 1-s) test fails on most hosts at n = 40 to
+    300, so decompose_ksw tests the rest at the final (m, 1-2m) bound
+    instead, and runs the union and refinement only when it fails.  That
+    test passed on every random_sparse_graph host at n = 30 to 400 (six
+    per n) at 6/5 and from 18/7 to 34/9, on 4 to 15 of 18 at 3/2, 8/5, 9/5
+    and 19/10, and on 81-100% of the sparse G(8, p) graphs per m.
     """
 
     _fields = ("k", "case", "s", "gate", "final", "forest_first")

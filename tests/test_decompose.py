@@ -5,11 +5,14 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsity_forge as sf
-from sparsity_forge import decompose, sparsity
+from sparsity_forge import decompose, matroid, partition, sparsity
 from sparsity_forge.errors import NotSparseError
 from sparsity_forge.instances import random_sparse_graph
 
@@ -157,35 +160,135 @@ def test_each_host_sweep_runs_once(monkeypatch):
         assert sweeps == Counter({(m, 0): 1}), (m, dict(sweeps))
 
 
+def _old_route(g, m):
+    """(F, G') of the constructive route alone: the union's split, then the
+    checked public refinement of m's case."""
+    plan = sparsity._plan(m)
+    split = sf.partition_forest_plus(g, plan.k, m - plan.k)
+    part = sf.ForestPartition(g, split.e1, split.e2)
+    if plan.case == sparsity.CASE_D2:
+        part = sf.brooks_refine(part, plan.k, plan.s)
+    elif plan.case == sparsity.CASE_SMALL_TRIANGLE_FREE:
+        part = sf.eliminate_triangles(part)
+    return part.F, part.R
+
+
+def _greedy_rest(g):
+    return partition._greedy_forest(g)[1]
+
+
 def test_refine_cases_sweep_only_the_gate_sides_and_final_check(monkeypatch):
-    # decompose_ksw hands refine the split it just built: refine sweeps
-    # nothing, and its result equals what the checked public route returns
+    # a greedy forest whose rest passes (m, 1 - 2m) ends the route: the gate
+    # and that sweep are all, and no engine is built.  A refused rest leaves
+    # the union's sides, refine (which sweeps nothing on this route) and the
+    # final check, and the result equals the checked public route's
     real = sf.is_sparse
     modules = [mod for name, mod in sys.modules.items()
                if name.startswith("sparsity_forge.") and vars(mod).get("is_sparse") is real]
-    for m, label in ((Fraction(19, 10), sparsity.CASE_SMALL_TRIANGLE_FREE),
-                     (Fraction(20, 7), sparsity.CASE_D2)):
-        host = random_sparse_graph(60, m, random.Random(16))
+    built = []
+    for cls in (matroid.ForestEngine, matroid.PebbleCountEngine,
+                matroid.MincutCountEngine, matroid.TrivialEngine):
+        def init(self, *args, _cls=cls, _real=cls.__init__, **kwargs):
+            built.append(_cls.__name__)
+            _real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+    for m, seed, accepted, label in (
+        (Fraction(19, 10), 13, True, sparsity.CASE_SMALL_TRIANGLE_FREE),
+        (Fraction(20, 7), 16, True, sparsity.CASE_D2),
+        (Fraction(19, 10), 16, False, sparsity.CASE_SMALL_TRIANGLE_FREE),
+    ):
+        host = random_sparse_graph(60, m, random.Random(seed))
         sweeps = []
+        built.clear()
 
         def spy(g, params):
             sweeps.append((params.a, params.b))
             return real(g, params)
 
-        for mod in modules:
-            monkeypatch.setattr(mod, "is_sparse", spy)
-        d = sf.decompose_ksw(host, m)
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            for mod in modules:
+                patch.setattr(mod, "is_sparse", spy)
+            d = sf.decompose_ksw(host, m)
         plan = sparsity._plan(m)
         assert d.trace == label
-        assert sweeps == [(m, 0), (1, -1), (plan.k, 1 - plan.s), (m, 1 - 2 * m)]
-        split = sf.partition_forest_plus(host, plan.k, m - plan.k)
-        part = sf.ForestPartition(host, split.e1, split.e2)
-        if label == sparsity.CASE_D2:
-            checked = sf.brooks_refine(part, plan.k, plan.s)
+        if accepted:
+            assert sweeps == [(m, 0), (m, 1 - 2 * m)]
+            assert built == []
+            assert d.Gp.sorted() == _greedy_rest(host)
         else:
-            checked = sf.eliminate_triangles(part)
-        assert (d.F, d.Gp) == (checked.F, checked.R)
+            assert sweeps == [(m, 0), (m, 1 - 2 * m), (1, -1), (plan.k, 1 - plan.s),
+                              (m, 1 - 2 * m)]
+            # the union's two engines, and eliminate_triangles' for its swaps
+            assert built == ["ForestEngine", "PebbleCountEngine", "ForestEngine"]
+            assert (d.F, d.Gp) == _old_route(host, m)
+
+
+def test_greedy_try_changes_nothing_where_its_rest_fits_the_union(rng):
+    # where the greedy rest is (k, 1 - s)-sparse the union returns the greedy
+    # split itself, and refinement then finds nothing to repair in a rest
+    # that passes (m, 1 - 2m): so the output equals the constructive route's
+    ms = [Fraction(6, 5), Fraction(3, 2), Fraction(8, 5), Fraction(9, 5), Fraction(19, 10),
+          Fraction(5, 2), Fraction(18, 7), Fraction(11, 4), Fraction(20, 7), Fraction(8, 3),
+          Fraction(34, 9), Fraction(7)]
+    for m in ms:
+        plan = sparsity._plan(m)
+        side = sf.SparsityParams(plan.k, 1 - plan.s)
+        hosts = [random_sparse_graph(n, m, random.Random(100 * n + seed))
+                 for n in (8, 12, 20) for seed in range(3)]
+        hosts += [random_graph(rng, 8, rng.random()) for _ in range(30)]
+        fitting = 0
+        for g in hosts:
+            if not sf.is_sparse(g, plan.gate).sparse:
+                continue
+            if sf.is_sparse(g.edge_subgraph(_greedy_rest(g)), side).sparse:
+                d = sf.decompose_ksw(g, m)
+                assert (d.F, d.Gp) == _old_route(g, m), (m, g.edges)
+                fitting += 1
+        assert fitting >= 5, m
+
+
+_ACCEPTANCE_M = [Fraction(6, 5), Fraction(3, 2), Fraction(9, 5), Fraction(2), Fraction(7, 3),
+                 Fraction(5, 2), Fraction(11, 4), Fraction(3), Fraction(10, 3), Fraction(4)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_every_answer_passes_the_brute_force_checks(data):
+    m = data.draw(st.sampled_from(_ACCEPTANCE_M), label="m")
+    n = data.draw(st.integers(0, 8), label="n")
+    all_pairs = list(combinations(range(n), 2))
+    e = data.draw(st.integers(0, min(len(all_pairs), int(m * n))), label="edges")
+    g = sf.Graph(n, data.draw(st.permutations(all_pairs), label="pairs")[:e])
+    try:
+        d = sf.decompose_ksw(g, m)
+    except NotSparseError:
+        assert not sf.brute_sparse(g, m, 0).sparse
+        return
+    assert sf.brute_sparse(g, m, 0).sparse
+    assert d.F.ids | d.Gp.ids == frozenset(range(g.e)) and not d.F.ids & d.Gp.ids
+    assert sf.brute_sparse(g.edge_subgraph(d.F.ids), 1, -1).sparse  # a forest
+    assert sf.brute_sparse(g.edge_subgraph(d.Gp.ids), m, 1 - 2 * m).sparse
+
+
+def test_a_refused_greedy_try_at_20_7_runs_brooks_refine(monkeypatch):
+    # K6 is (20/7, 0)-sparse; its greedy forest is the star at 0, whose rest
+    # is the K5 on 1..5, and K5's 10 edges exceed 5m + 1 - 2m = 67/7
+    k6, m = sf.complete_graph(6), Fraction(20, 7)
+    assert not sf.is_sparse(k6.edge_subgraph(_greedy_rest(k6)), sf.SparsityParams(m, 1 - 2 * m)).sparse
+    swaps = []
+    real = decompose.brooks_refine
+
+    def spy(part, k, s, trace=None):
+        trace = []
+        out = real(part, k, s, trace=trace)
+        swaps.append(len(trace) - 1)
+        return out
+
+    monkeypatch.setattr(decompose, "brooks_refine", spy)
+    d = sf.decompose_ksw(k6, m)
+    assert d.trace == sparsity.CASE_D2 and swaps and swaps[0] >= 1
+    assert (d.F, d.Gp) == _old_route(k6, m)
+    assert sf.verify_decomposition(d)
 
 
 def test_d1_beats_d2_in_overlap():

@@ -218,12 +218,17 @@ def test_forest_first_falls_back_to_the_union_on_k5(monkeypatch):
 
 
 def test_decompose_runs_the_union_only_where_the_forest_first_split_fails(monkeypatch):
+    # forest-first at 7; at 20/7 the greedy rest passes the final sweep, and
+    # at 19/10 on this host it does not, so the union runs there alone
     calls = _spy_engine_for(monkeypatch)
     sf.decompose_ksw(random_sparse_graph(200, 7, random.Random(1)), 7)
     assert calls == []
     m = Fraction(20, 7)
     sf.decompose_ksw(random_sparse_graph(200, m, random.Random(1)), m)
-    assert calls == [(1, -1), (2, 0)]  # s = forest_slack(2, 6/7) = 1
+    assert calls == []
+    m = Fraction(19, 10)
+    sf.decompose_ksw(random_sparse_graph(60, m, random.Random(16)), m)
+    assert calls == [(1, -1), (1, 0)]  # s = forest_slack(1, 9/10) = 1
 
 
 def test_k_forest_and_k_pseudoforest_splits(rng):
