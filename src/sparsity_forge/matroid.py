@@ -307,8 +307,8 @@ class PebbleCountEngine:
 class MincutCountEngine:
     """A forced min-cut per test and circuit; rational a and b welcome.
 
-    No engine route builds it: it is the slow reference for
-    ``PebbleCountEngine`` and the brute partition search's b > 0 side test.
+    No engine route or oracle builds it: tests hold ``PebbleCountEngine`` to
+    it, and it stays here because the benchmark's span targets name it.
     """
 
     def __init__(self, host: Graph, a, b):

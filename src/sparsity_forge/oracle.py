@@ -1,20 +1,19 @@
 """Brute-force ground truth: exhaustive sparsity, exhaustive 2-partition search,
 and matroid-axiom checking over full power sets.
 
-Everything here computes straight from the definitions so the faster engines
-elsewhere can be tested against it.  Subset sweeps run in Gray-code order
-with O(1) edge-count updates, which keeps graphs up to 22 vertices and
-12-edge ground sets inside desk-scale budgets.
+Everything here computes straight from the definitions and runs none of the
+pebble and min-cut engines it checks: a Gray-code subset sweep (n <= 22),
+a room-per-vertex-set table per partition side (e <= 20, at most 22 touched
+vertices), and power sets of ground sets up to 12 edges.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 
 from .errors import PathologicalParametersError
 from .graphs import EdgeSet, Graph, VertexSet
-from .matroid import MincutCountEngine
-from .pebble import PebbleGame
 from .sparsity import SparsityCertificate, SparsityParams
 
 
@@ -86,50 +85,51 @@ def brute_sparse(g: Graph, a: Fraction | int, b: Fraction | int) -> SparsityCert
 
 
 class _SideChecker:
-    """Incremental exact test for one side of a partial 2-coloring.
+    """One side of a partial 2-coloring, checked against the definition.
 
-    b <= 0 runs the scaled pebble game (rational a and b welcome).  b > 0
-    runs ``MincutCountEngine``'s forced min-cut per insertion, now the
-    independent reference for the elongated pebble game that partitions
-    play at b > 0.  Pathological sides hold nothing.
+    Over the vertices that g's edges touch (bit i of a mask is the i-th of
+    them), ``room[U]`` is floor(a|U| + b) - e_side(U), floored at 0 so that
+    ``room[-1]`` bounds what the side can still take.  An edge fits when
+    every set holding both its ends has room left; a pathological side
+    (2a + b < 1) has none on two vertices.
     """
 
     def __init__(self, g: Graph, a: Fraction, b: Fraction):
-        self.g = g
-        self.pathological = 2 * a + b < 1
-        self.members: list[int] = []
-        # nonpathological means 2a + b >= 1, hence l < 2k in the scaled game
-        self._game = PebbleGame.scaled(g.n, a, b) if not self.pathological and b <= 0 else None
-        self._mincut = MincutCountEngine(g, a, b) if b > 0 else None
+        touched = sorted({x for edge in g.edges for x in edge})
+        if len(touched) > 22:
+            raise ValueError("brute_partition_exists tabulates vertex sets; limit is 22 touched vertices")
+        self.bits = [1 << i for i in range(len(touched))]
+        bit = dict(zip(touched, self.bits))
+        self.ends = [bit[u] | bit[v] for u, v in g.edges]
+        caps = [max(0, floor(a * t + b)) for t in range(len(touched) + 1)]  # once per size
+        self.room = [caps[mask.bit_count()] for mask in range(1 << len(touched))]
+        self.masks: dict[int, list[int]] = {}
+
+    def _supersets(self, eid: int) -> list[int]:
+        """The sets holding both ends of edge eid, listed on first use."""
+        masks = self.masks.get(eid)
+        if masks is None:
+            masks = [self.ends[eid]]
+            for bit in self.bits:
+                if not bit & masks[0]:
+                    masks += [mask | bit for mask in masks]
+            self.masks[eid] = masks
+        return masks
 
     def try_add(self, eid: int) -> bool:
         """Add edge eid to the side if the side stays sparse; report success."""
-        if self.pathological:
+        masks = self._supersets(eid)
+        room = self.room
+        if 0 in map(room.__getitem__, masks):  # no room ever drops below 0
             return False
-        u, v = self.g.edges[eid]
-        if self._game is not None:
-            fits = self._game.insert(u, v)
-        else:
-            fits = self._mincut.insert(eid, u, v) is None
-        if fits:
-            self.members.append(eid)
-        return fits
+        for mask in masks:
+            room[mask] -= 1
+        return True
 
     def remove(self, eid: int) -> None:
-        assert self.members and self.members[-1] == eid
-        self.members.pop()
-        if self._game is not None:
-            self._game.delete(*self.g.edges[eid])
-        else:
-            self._mincut.delete(eid)
-
-
-def _capacity(g: Graph, a: Fraction, b: Fraction) -> int:
-    """Largest possible edge count of an (a, b)-sparse subgraph of g."""
-    if 2 * a + b < 1:
-        return 0
-    cap = a * g.n + b
-    return max(0, min(g.e, cap.numerator // cap.denominator))
+        room = self.room
+        for mask in self._supersets(eid):
+            room[mask] += 1
 
 
 def brute_partition_exists(
@@ -139,20 +139,20 @@ def brute_partition_exists(
     a2: Fraction | int,
     b2: Fraction | int,
 ) -> tuple[bool, tuple[EdgeSet, EdgeSet] | None]:
-    """Exhaustive search for a 2-coloring with side i (ai, bi)-sparse; e <= 20.
+    """Exhaustive search for a 2-coloring with side i (ai, bi)-sparse.
 
-    Extends a partial coloring edge by edge in id order, pruning a branch as
-    soon as a side would stop being sparse (sound: sparsity is hereditary
-    under edge removal) or the remaining edges cannot fit the whole-graph
-    capacities.  Returns the first witness in deterministic order.
+    Extends a partial coloring edge by edge in id order.  A side refuses an
+    edge as soon as it would stop being sparse (sound: sparsity is
+    hereditary under edge removal), and a branch is pruned once the edges
+    left exceed the two sides' room on the whole touched set.  Limits: e <= 20
+    and 22 touched vertices (isolated ones cost nothing).  Returns the first
+    witness in deterministic order.
     """
     if g.e > 20:
         raise ValueError("brute_partition_exists is exponential; limit is e <= 20")
     a1, b1, a2, b2 = Fraction(a1), Fraction(b1), Fraction(a2), Fraction(b2)
     side1 = _SideChecker(g, a1, b1)
     side2 = _SideChecker(g, a2, b2)
-    cap1 = _capacity(g, a1, b1)
-    cap2 = _capacity(g, a2, b2)
     symmetric = (a1, b1) == (a2, b2)
     total = g.e
     assign = [0] * total
@@ -160,7 +160,7 @@ def brute_partition_exists(
     def search(idx: int) -> bool:
         if idx == total:
             return True
-        if total - idx > (cap1 - len(side1.members)) + (cap2 - len(side2.members)):
+        if total - idx > side1.room[-1] + side2.room[-1]:
             return False
         choices = ((1, side1),) if symmetric and idx == 0 else ((1, side1), (2, side2))
         for label, side in choices:

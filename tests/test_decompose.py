@@ -300,14 +300,19 @@ def test_d1_beats_d2_in_overlap():
     assert d.trace == "large_m_case_D1"
 
 
-def test_d2_branch_runs_refinement_end_to_end():
-    # K5 plus a pendant edge is (20/7, 0)-sparse; eps = 6/7 routes through D2
+def test_d2_host_with_a_passing_greedy_rest_skips_refinement(monkeypatch):
+    # K5 plus a pendant edge is (20/7, 0)-sparse; eps = 6/7 labels it D2, but
+    # its greedy rest, the K4 on 1..4, passes (20/7, -33/7), so no refine runs
     edges = [(i, j) for j in range(5) for i in range(j)] + [(0, 5)]
     host = sf.Graph(6, edges)
     m = Fraction(20, 7)
     assert sf.is_sparse(host, sf.SparsityParams(m, 0)).sparse
+    refined = []
+    monkeypatch.setattr(decompose, "brooks_refine", lambda *args, **kwargs: refined.append(args))
     d = sf.decompose_ksw(host, m)
+    assert not refined
     assert d.trace == "large_m_case_D2"
+    assert d.Gp.pairs() == list(combinations(range(1, 5), 2))
     assert bool(sf.verify_decomposition(d))
 
 

@@ -270,7 +270,7 @@ def test_partition_agrees_with_brute_force_small(rng):
 
 
 # integral sides with 2a + b >= 1: forests, pseudoforests, two b < 0 sides at a = 2
-# and one b > 0 side, so that the min-cut engine runs too
+# and one b > 0 side, so that the elongated engine runs too
 _SIDES = [(1, -1), (1, 0), (2, -3), (2, -2), (1, 1)]
 
 
