@@ -38,16 +38,9 @@ class CountMatroidOracle:
     Mutable (answers are cached per edge set), with identity equality.
     """
 
-    def __init__(
-        self,
-        host: Graph,
-        a: int,
-        b: int,
-        validity_class: str,
-        _cache: dict[frozenset[int], bool] | None = None,
-    ):
+    def __init__(self, host: Graph, a: int, b: int, validity_class: str):
         self.host, self.a, self.b, self.validity_class = host, a, b, validity_class
-        self._cache = {} if _cache is None else _cache
+        self._cache: dict[frozenset[int], bool] = {}
 
     @property
     def params(self) -> SparsityParams:
@@ -332,7 +325,7 @@ class MincutCountEngine:
         ordered = sorted(self.members)
         pairs = [self.host.edges[i] for i in ordered]
         p, q = self.a.numerator, self.a.denominator
-        value, umin, _ = selection_max(self.host.n, pairs, p, q, free_vertices=(u, v))
+        value, umin = selection_max(self.host.n, pairs, p, q, free_vertices=(u, v))
         # (value - 2p) / q = max of e(U) - a|U| over U containing u, v
         if value - 2 * p <= q * (self.b - 1):
             return None  # {u, v} keeps every such U within the bound

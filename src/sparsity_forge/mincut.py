@@ -5,8 +5,9 @@ The selection (maximum closure) network decides questions of the shape
 source arc of capacity q, infinite arcs from each edge node to its two
 endpoint nodes, and vertex-to-sink arcs of capacity p.  The maximum over all
 U (the empty set included) equals total edge weight minus the min cut, and
-the minimal / maximal source sides of the cut give the minimal / maximal
-maximizing sets.  All capacities are integers, so everything here is exact.
+the vertices reachable from the source in the residual network form the
+minimal maximizing set.  All capacities are integers, so everything here is
+exact.
 """
 
 from __future__ import annotations
@@ -72,19 +73,16 @@ class Dinic:
                     break
                 flow += pushed
 
-    def residual_reach(self, root: int, backward: bool = False) -> list[bool]:
-        """Nodes reachable from ``root`` in the residual network or, with
-        ``backward``, the nodes that reach ``root`` there."""
-        flip = int(backward)
+    def residual_reach(self, root: int) -> list[bool]:
+        """Nodes reachable from ``root`` in the residual network."""
         seen = [False] * self.n
         seen[root] = True
         dq = deque([root])
         while dq:
             u = dq.popleft()
             for idx in self.head[u]:
-                # arc idx runs u -> to[idx]; its twin idx ^ 1 runs back into u
                 v = self.to[idx]
-                if self.cap[idx ^ flip] > 0 and not seen[v]:
+                if self.cap[idx] > 0 and not seen[v]:
                     seen[v] = True
                     dq.append(v)
         return seen
@@ -96,14 +94,14 @@ def selection_max(
     p: int,
     q: int,
     free_vertices: Iterable[int] = (),
-) -> tuple[int, list[int], list[int]]:
+) -> tuple[int, list[int]]:
     """Maximize q*e(G[U]) - p*|U without free_vertices| over all U (empty allowed).
 
-    Returns (max value, minimal maximizer, maximal maximizer) where the two
-    maximizers are sorted vertex lists.  Vertices in ``free_vertices`` incur
-    no cost, which forces them into every maximizer whenever their inclusion
-    is not strictly harmful; callers use that to restrict the search to sets
-    containing a prescribed edge.
+    Returns (max value, minimal maximizer), the maximizer as a sorted vertex
+    list.  Vertices in ``free_vertices`` incur no cost, which forces them
+    into every maximizer whenever their inclusion is not strictly harmful;
+    callers use that to restrict the search to sets containing a prescribed
+    edge.
     """
     free = set(free_vertices)
     e = len(edges)
@@ -122,13 +120,5 @@ def selection_max(
     flow = net.max_flow(source, sink)
     value = total - flow
     reach = net.residual_reach(source)
-    minimal = sorted(v for v in range(n) if reach[1 + e + v])
-    coreach = net.residual_reach(sink, backward=True)
-    maximal = sorted(v for v in range(n) if not coreach[1 + e + v])
-    # free vertices are costless: include them in both sides by convention
-    for v in free:
-        if v not in minimal:
-            minimal.append(v)
-        if v not in maximal:
-            maximal.append(v)
-    return value, sorted(minimal), sorted(maximal)
+    # free vertices are costless: include them by convention
+    return value, sorted(free.union(v for v in range(n) if reach[1 + e + v]))

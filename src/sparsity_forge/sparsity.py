@@ -13,11 +13,12 @@ All decisions run on exact rationals.  For every b the verdict comes from
 one scaled pebble sweep at (a, b) (Lee & Streinu; for b > 0 the elongated
 game, after Whiteley): the graph is sparse exactly when every edge is
 accepted.  The certificate's numbers are exact all the same, for both
-verdicts; they are computed the first time one is read.  A positive maximum
-of e(G[U]) - a|U| is computed by min-cut over the standard edge/vertex
-selection network; a maximum at or below zero is pinned down exactly by
-gathering pebbles on a game that has accepted every edge (see max_violation,
-which also states the witness conventions).  The density indices m, m2 and
+verdicts; they are computed the first time one is read.  A maximum of
+e(G[U]) - a|U| at or below zero is pinned down exactly by gathering pebbles
+on a game that has accepted every edge; only when a zero-slack sweep refuses
+an edge is the maximum positive, and one min-cut over the standard
+edge/vertex selection network computes it (see max_violation, which also
+states the witness conventions).  The density indices m, m2 and
 the pair density are one Dinkelbach ascent over max_violation.
 
 Edge order is free to a sweep that decides: the game greedily builds a basis
@@ -176,7 +177,9 @@ def potential(g: Graph, vertices: VertexSet | Iterable[int], a: RationalLike) ->
     return Fraction(a) * len(ids) - g.induced_edge_count(ids)
 
 
-_CUT_WITNESS_LIMIT = 40
+# Up to this many vertices a maximum <= 0 is witnessed by the region of the
+# smallest gather; above it, by the conventions max_violation states.
+_WITNESS_LIMIT = 40
 
 # Sweeps of graphs on more vertices than this insert their edges in peel
 # order.  On small graphs the order costs more than it saves: with the
@@ -251,21 +254,23 @@ def max_violation(
 ) -> tuple[Fraction, VertexSet]:
     """Exact max of e(G[U]) - a|U| over vertex sets with |U| >= 2, with witness.
 
-    A positive maximum comes from one min-cut on the selection network (the
-    identity max = total - mincut holds only there: the network cannot
-    express negative maxima, every closure being at least as good as the
-    empty one).  A maximum <= 0 is located exactly through the pebble engine:
-    once every edge is accepted at zero slack, the maximum equals minus the
-    smallest pebble count gatherable onto an edge's endpoints.
+    Every call takes one route.  A game that has accepted every edge at zero
+    slack (the handed-over one, or a fresh zero-slack sweep) pins down a
+    maximum <= 0 exactly: it equals minus the smallest pebble count
+    gatherable onto an edge's endpoints.  A sweep that refuses an edge shows
+    the maximum is positive, and one min-cut on the selection network gives
+    its value and minimal maximizer (the identity max = total - mincut holds
+    only there: the network cannot express negative maxima, every closure
+    being at least as good as the empty one).
 
-    Witness conventions: a positive maximum returns the minimal min-cut
-    maximizer.  Up to _CUT_WITNESS_LIMIT vertices a maximum <= 0 returns the
-    region where the smallest gather stalled.  Above it, a zero maximum
-    returns the maximal min-cut maximizer, and a negative maximum -s/q
-    (a = p/q in lowest terms) the region of the first edge refused by a
-    fresh (a, -(s + 1)/q) game, or the first edge when no set beats a lone
-    edge (s = 2p - q).  Without a handed-over game, large graphs run the
-    min-cut first.
+    Witness conventions: a positive maximum returns its minimal maximizer.
+    Up to _WITNESS_LIMIT vertices a maximum <= 0 returns the region where
+    the smallest gather stalled.  Above it, a zero maximum returns the
+    largest zero set, read off the game: the union of the regions of the
+    edges that gather no pebble.  A negative maximum -s/q (a = p/q in lowest
+    terms) returns the region of the first edge refused by a fresh
+    (a, -(s + 1)/q) game, or the first edge when no set beats a lone edge
+    (s = 2p - q).
 
     Degenerate case: a single-vertex graph has no admissible U; the lone
     vertex is returned with value -a.
@@ -290,25 +295,18 @@ def max_violation(
         return -a, VertexSet(g, [0])
     if g.e == 0:
         return -2 * a, VertexSet(g, [0, 1])
-    large = g.n > _CUT_WITNESS_LIMIT
     game = _accepted
     if game is None:
-        if large:
-            value, umin, umax = selection_max(g.n, g.edges, p, q)
-            if value > 0:
-                return Fraction(value, q), VertexSet(g, umin)
-            if umax:
-                return Fraction(0), VertexSet(g, umax)
         game = PebbleGame.scaled(g.n, a, 0)
         if not _sweep(g, game):
             # refused at zero slack: positive, witnessed by the minimal cut side
-            value, umin, _ = selection_max(g.n, g.edges, p, q)
+            value, umin = selection_max(g.n, g.edges, p, q)
             if value <= 0:
                 raise AssertionError("pebble engine and min cut disagree")
             return Fraction(value, q), VertexSet(g, umin)
     best = None
     region: list[int] = []
-    for u, v in g.edges:
+    for i, (u, v) in enumerate(g.edges):
         c = game.gather_max(u, v, stop_at=best)
         if best is None or c < best:
             best = c
@@ -317,10 +315,17 @@ def max_violation(
                 break
     assert best is not None
     value = Fraction(-best, game.copies)
-    if not large:
+    if g.n <= _WITNESS_LIMIT:
         return value, VertexSet(g, region)
     if value == 0:
-        return value, VertexSet(g, selection_max(g.n, g.edges, p, q)[2])
+        # Zero sets are closed under union and intersection, so an edge with
+        # both ends in the union has its smallest zero set inside it too.
+        # The edges before i gathered pebbles: no zero set holds them.
+        union = set(region)
+        for u, v in g.edges[i + 1 :]:
+            if (u not in union or v not in union) and not game.gather_max(u, v, stop_at=1):
+                union.update(game.last_region)
+        return value, VertexSet(g, union)
     s = best * q // game.copies  # value = -s/q
     if s == 2 * p - q:  # no set beats a lone edge
         u, v = g.edges[0]
@@ -469,11 +474,14 @@ def forest_slack(k: int, eps: RationalLike) -> int:
     Four-interval definition evaluated with exact comparisons, first match
     wins top to bottom; capped at 2k, which is the edge of the usable
     matroid range at (k, 1-2k).  With eps = p/q, every comparison and
-    ceiling is on integers, cross-multiplied by q.
+    ceiling is on integers, cross-multiplied by q.  The domain is that of
+    partition_forest_plus: an int k >= 1, and any eps that Fraction takes.
     """
+    if not isinstance(eps, (int, Fraction)):
+        eps = Fraction(eps)
     p, q = eps.numerator, eps.denominator  # ints have both
-    if k < 1:
-        raise ValueError("need k >= 1")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("need integral k >= 1")
     if not (0 <= p < q):
         raise ValueError("need 0 <= eps < 1")
     if p * (2 * k + 2) < 2 * q:  # eps < 1/(k+1)

@@ -242,6 +242,9 @@ def test_forest_slack_interval_spot_values():
     assert sf.forest_slack(2, Fraction(1, 3)) == 4
     assert sf.forest_slack(2, Fraction(1, 2)) == 3
     assert sf.forest_slack(1, Fraction(4, 5)) == 1
+    # eps as partition_forest_plus takes it: a float goes through Fraction
+    assert sf.forest_slack(2, 0.5) == 3
+    assert sf.forest_slack(2, 0.25) == sf.forest_slack(2, Fraction(1, 4))
 
 
 def test_forest_slack_capped_at_2k():
@@ -259,6 +262,9 @@ def test_forest_slack_domain():
         sf.forest_slack(2, 1)
     with pytest.raises(ValueError):
         sf.forest_slack(2, Fraction(-1, 3))
+    for k in (2.0, Fraction(2), 2.5):  # k must be an int, as in partition_forest_plus
+        with pytest.raises(ValueError, match="integral k"):
+            sf.forest_slack(k, Fraction(1, 3))
 
 
 def test_slack_lemma_on_small_graphs(rng):
@@ -297,13 +303,40 @@ def _brute_density(g):
         a = Fraction(g.induced_edge_count(cert.witness.ids), len(cert.witness))
 
 
+def _maximizer_union_and_intersection(g, a):
+    # over every U with |U| >= 2, as bitmasks: the maximum of e(U) - a|U|
+    # and the union and intersection of the sets attaining it
+    p, q = a.numerator, a.denominator
+    nb = [0] * g.n
+    for u, v in g.edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+    e = [0] * (1 << g.n)
+    best, union, meet = None, 0, -1
+    for mask in range(1, 1 << g.n):
+        low = mask & -mask
+        rest = mask ^ low
+        e[mask] = e[rest] + (nb[low.bit_length() - 1] & rest).bit_count()
+        if not rest:
+            continue
+        val = q * e[mask] - p * mask.bit_count()
+        if best is None or val > best:
+            best, union, meet = val, mask, mask
+        elif val == best:
+            union, meet = union | mask, meet & mask
+    ids = lambda mask: frozenset(v for v in range(g.n) if mask >> v & 1)
+    return Fraction(best, q), ids(union), ids(meet)
+
+
 def test_max_violation_strategies_agree(rng):
     # both witness conventions of max_violation against exhaustive search,
     # n = 2-14.  Each graph is also
     # padded with isolated vertices to n = 41-60: that leaves the maximum in
     # place and sends it down the large-graph witness conventions, both on a
-    # fresh call and on the game a sparse is_sparse hands over.
-    zeros = 0
+    # fresh call and on the game a sparse is_sparse hands over.  Above 40
+    # vertices a zero maximum is witnessed by the union of all zero sets, and
+    # at every n a positive maximum by the intersection of all maximizers.
+    zeros = positives = 0
     for i in range(120):
         g = random_graph(rng, rng.randint(2, 14), rng.random())
         if g.e == 0:
@@ -315,7 +348,10 @@ def test_max_violation_strategies_agree(rng):
         else:
             a = Fraction(rng.randint(1, 9), rng.randint(1, 6))
         best = -sf.brute_sparse(g, a, 1).min_potential
+        top, union, meet = _maximizer_union_and_intersection(g, a)
+        assert top == best
         zeros += best == 0
+        positives += best > 0
         for h in (g, sf.Graph(rng.randint(41, 60), g.edges)):
             value, witness = sf.max_violation(h, a)
             assert value == best
@@ -324,7 +360,34 @@ def test_max_violation_strategies_agree(rng):
             cert = sf.is_sparse(h, sf.SparsityParams(a, best))
             assert cert.sparse and cert.max_violation == 0
             assert h.induced_edge_count(cert.witness.ids) - a * len(cert.witness) == best
-    assert zeros >= 10
+            if best > 0:
+                assert witness.ids == cert.witness.ids == meet
+            elif best == 0 and h is not g:
+                assert witness.ids == cert.witness.ids == union
+    assert zeros >= 10 and positives >= 10
+
+
+def test_max_violation_asks_the_min_cut_only_for_a_positive_maximum(monkeypatch):
+    # K4 padded with isolated vertices past 40: its maximum of e(U) - a|U|
+    # is 6 - 4a, negative at a = 2, zero at 3/2 and positive at 1
+    cuts = []
+    cut = sparsity.selection_max
+
+    def cut_spy(*args, **kwargs):
+        cuts.append(args)
+        return cut(*args, **kwargs)
+
+    monkeypatch.setattr(sparsity, "selection_max", cut_spy)
+    k4 = sf.complete_graph(4)
+    for n in (41, 50, 60):
+        h = sf.Graph(n, k4.edges)
+        assert sf.max_violation(h, 2) == (-2, sf.VertexSet(h, range(4)))
+        assert sf.max_violation(h, Fraction(3, 2)) == (0, sf.VertexSet(h, range(4)))
+        assert cuts == []
+    for h in (k4, sf.Graph(8, k4.edges), sf.Graph(45, k4.edges)):
+        assert sf.max_violation(h, 1) == (2, sf.VertexSet(h, range(4)))
+        assert len(cuts) == 1
+        cuts.clear()
 
 
 def test_potential_submodularity(rng):
