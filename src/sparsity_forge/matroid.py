@@ -117,7 +117,7 @@ def find_tight_components(o: CountMatroidOracle, s: EdgeSet) -> list[VertexSet]:
     g = o.host
     pairs = [g.edges[i] for i in s.sorted()]
     game = PebbleGame(g.n, o.a, -o.b)
-    if not all(game.insert(u, v) for u, v in pairs):
+    if not game.sweep(pairs):
         raise ValueError("edge set is dependent; tight components are defined on independent sets")
     tight_sets: list[list[int]] = []
     for u, v in pairs:
@@ -255,6 +255,8 @@ class PebbleCountEngine:
         self.room = max(b, 0)
         self.spare: list[int] = []
         self.members: set[int] = set()
+        # per vertex, its members' ids and other ends: circuits walk a region
+        self._incident: list[dict[int, int]] = [dict() for _ in range(host.n)]
         self._spare_region: set[int] | None = None  # None: not computed yet
 
     def insert(self, eid: int, u: int, v: int) -> list[int] | None:
@@ -263,15 +265,20 @@ class PebbleCountEngine:
                 return self._spanned_by_region()
             self.spare.append(eid)
         self.members.add(eid)
+        self._incident[u][eid] = v
+        self._incident[v][eid] = u
         return None
 
     def delete(self, eid: int) -> None:
         self.members.remove(eid)
+        u, v = self.host.edges[eid]
+        del self._incident[u][eid]
+        del self._incident[v][eid]
         self._spare_region = None
         if eid in self.spare:
             self.spare.remove(eid)
             return
-        self.game.delete(*self.host.edges[eid])
+        self.game.delete(u, v)
         # the game's rank fell by at most one, so at most one spare edge fits
         for spare_eid in self.spare:
             if self.game.insert(*self.host.edges[spare_eid]):
@@ -285,7 +292,8 @@ class PebbleCountEngine:
 
     def _spanned_by_region(self) -> list[int]:
         """Members inside the minimal tight set through u and v: the last
-        refused gather's region joined with each spare edge's stalled one."""
+        refused gather's region joined with each spare edge's stalled one.
+        The member index gives them from the set's own vertices."""
         inside = set(self.game.last_region)
         if self._spare_region is None:
             region: set[int] = set()
@@ -294,7 +302,8 @@ class PebbleCountEngine:
                 region.update(self.game.last_region)
             self._spare_region = region
         inside |= self._spare_region
-        return sorted(eid for eid in self.members if inside.issuperset(self.host.edges[eid]))
+        incident = self._incident
+        return sorted(eid for w in inside for eid, x in incident[w].items() if w < x and x in inside)
 
 
 class MincutCountEngine:

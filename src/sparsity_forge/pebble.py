@@ -18,20 +18,25 @@ arcs, placed all or none.  Parallel copies are interchangeable, so deleting
 
 The game is a capacitated augmenting-path search (Gabow & Westermann,
 "Forests, frames, and games"): an arc's multiplicity is its capacity, so
-one path found by a DFS moves as many pebbles as its bottleneck
-multiplicity allows.  An insert gathers l + copies pebbles in one go and
-only then places its copies, so a refused insert places nothing.
+one path moves as many pebbles as its bottleneck multiplicity allows.  An
+edge gathers l + copies pebbles in one go and only then places its copies,
+so a refused edge places nothing.  ``sweep`` inserts a whole edge list in
+one loop and stops at the first refusal; ``insert`` is a sweep of one edge.
 
-Two shortcuts keep every move the DFS would make and skip its cost: a
-pebble one arc away moves by a scan of the target's out-arcs (one-hop
-move), and an end whose search stalled is not searched again within the
-same gather (a stalled end stays stalled; ``_gather`` has the proof).
+Searches are breadth-first, so a gather reaches the nearest pebble and
+reverses a shortest path, and each search costs only what it reaches: a
+pebble one arc away moves by a scan of the end's out-arcs (one-hop move),
+an end with no out-arc stalls without a search, and an end whose search
+stalled is not searched again within the same gather (a stalled end stays
+stalled; ``_gather`` has the proof).  The regions of the two stalled
+searches, joined, are ``last_region``: no scan of all n vertices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import Iterable
 
 
 def _scaled_counts(a: Fraction | int, b: Fraction | int) -> tuple[int, int, int, int]:
@@ -54,9 +59,8 @@ class PebbleGame:
     """Inserts may still leave ``room`` copies unplaced; ``unplaced`` they have.
 
     Room is 0 unless ``scaled`` built the elongated game for b > 0.  Spent
-    room is never refunded: ``delete`` and ``insertable`` keep their
-    all-copies contract, so ``delete`` raises ValueError once a copy went
-    unplaced, and no caller asks ``insertable`` of such a game.
+    room is never refunded: ``delete`` keeps its all-copies contract, so it
+    raises ValueError once a copy went unplaced.
     """
 
     def __init__(self, n: int, k: int, l: int, copies: int = 1):
@@ -71,10 +75,11 @@ class PebbleGame:
         self.pebbles = [k] * n
         self.out: list[dict[int, int]] = [dict() for _ in range(n)]  # head -> arc count
         self.last_region: list[int] = []
-        # timestamped DFS scratch space: no per-search allocation
+        # timestamped search scratch space: no per-search allocation
         self._mark = [0] * n
         self._prev = [0] * n
         self._stamp = 0
+        self._reached: list[int] = []  # the last stalled search's vertices
 
     @classmethod
     def scaled(cls, n: int, a: Fraction | int, b: Fraction | int) -> "PebbleGame":
@@ -91,68 +96,48 @@ class PebbleGame:
     # -- internals ----------------------------------------------------------
 
     def _collect(self, target: int, u: int, v: int, want: int) -> int:
-        """Move up to ``want`` pebbles onto ``target`` along one directed path.
+        """Move up to ``want`` pebbles onto ``target`` along one directed path,
+        searching past its out-neighbours: ``_gather`` has scanned them, and
+        none but u or v holds a pebble.
 
-        The DFS stops at the first vertex other than u and v holding a
-        pebble; the path then carries min(want, that vertex's pebbles, its
-        smallest arc multiplicity) pebbles, the count returned.  On a stall
-        (0) the current stamp marks the region reached from ``target``.
-
-        One-hop move: a DFS scans every out-neighbour of ``target`` before
-        it goes deeper, so the first such neighbour holding a pebble is the
-        vertex it would stop at.  That case is handled by one scan of
-        ``out[target]``, with no stamp, stack or ``prev``; the deeper search
-        starts from the state the DFS reaches after that scan.
+        The search is breadth-first and stops at the first vertex other than
+        u and v holding a pebble, so the path it reverses is a shortest one;
+        the path carries min(want, that vertex's pebbles, its smallest arc
+        multiplicity) pebbles, the count returned.  Its queue is also its
+        visited list: on a stall (0) ``_reached`` holds every vertex reached
+        from ``target``, ``target`` included.
         """
         pebbles = self.pebbles
         out = self.out
-        arcs = out[target]
-        for y in arcs:
-            amount = pebbles[y]
-            if amount and y != u and y != v:
-                if amount > want:
-                    amount = want
-                left = arcs[y]
-                if left > amount:
-                    arcs[y] = left - amount
-                else:
-                    amount = left
-                    del arcs[y]
-                back = out[y]
-                back[target] = back.get(target, 0) + amount
-                pebbles[y] -= amount
-                pebbles[target] += amount
-                return amount
         self._stamp += 1
         stamp = self._stamp
         mark = self._mark
-        mark[target] = stamp
-        if not arcs:  # holds all k pebbles; its region is itself
-            return 0
         prev = self._prev
-        for y in arcs:
+        mark[target] = stamp
+        queue = list(out[target])
+        for y in queue:
             mark[y] = stamp
             prev[y] = target
-        stack = list(arcs)
-        found = -1
-        while stack:
-            x = stack.pop()
+        for x in queue:
             for y in out[x]:
                 if mark[y] == stamp:
                     continue
                 mark[y] = stamp
                 prev[y] = x
-                if pebbles[y] > 0 and y != u and y != v:
-                    found = y
-                    stack.clear()
+                if pebbles[y] and y != u and y != v:
                     break
-                stack.append(y)
-        if found < 0:
+                queue.append(y)
+            else:
+                continue
+            break
+        else:
+            queue.append(target)
+            self._reached = queue
             return 0
+        found = y
         amount = pebbles[found]
         if amount > want:
             amount = want
-        y = found
         while amount > 1 and y != target:  # one pebble fits every arc
             x = prev[y]
             if out[x][y] < amount:
@@ -180,9 +165,16 @@ class PebbleGame:
 
         Each path moves its bottleneck: the fewest of the pebbles still
         wanted, the pebbles at its far end and its arcs' multiplicities.  On
-        a double stall ``last_region`` holds everything reached from u or v.
-        This is the loop behind gather_max; insert calls it directly, so that
-        timing or tracing gather_max does not also count every insert.
+        a double stall ``last_region`` holds everything reached from u or v,
+        sorted.  This is the loop behind gather_max; sweeps call it directly,
+        so that timing or tracing gather_max does not also count every
+        insert.
+
+        A breadth-first search scans every out-neighbour of its start before
+        it goes deeper, so the first such neighbour holding a pebble is the
+        vertex it would stop at.  That one-hop move is made here, by one scan
+        of the end's out-arcs; an end with no out-arc stalls here, its region
+        itself; only a deeper search calls ``_collect``.
 
         Pebbles are collected onto u until u stalls, then onto v only: a
         stalled end stays stalled.  u's stalled region R is closed under
@@ -190,38 +182,45 @@ class PebbleGame:
         therefore never enters R, since from R it could reach only vertices
         of R, never the pebble it ends at; and reversing a path changes the
         out-arcs of the path's own vertices only.  So R keeps its out-arcs
-        and its pebbles, and u would stall again on the same region.  After
-        v moved pebbles, v's searches have overwritten part of R's marks, so
-        on a double stall u is searched once more to mark R again; that
-        search moves nothing.
+        and its pebbles, and a search from u would stall again on the same
+        region: u's stalled list still holds it after v moved pebbles, and a
+        double stall joins it with v's.
         """
         pebbles = self.pebbles
+        out = self.out
         have = pebbles[u] + pebbles[v]
-        while have < stop_at:
-            got = self._collect(u, u, v, stop_at - have)
-            if not got:
-                break
-            have += got
-        else:
-            return have
-        stamp_u = self._stamp
-        v_moved = False
-        while have < stop_at:
-            got = self._collect(v, u, v, stop_at - have)
-            if not got:
-                break
-            have += got
-            v_moved = True
-        else:
-            return have
-        stamp_v = self._stamp
-        if v_moved:
-            self._collect(u, u, v, stop_at - have)
-            stamp_u = self._stamp
-        mark = self._mark
-        self.last_region = [
-            w for w in range(self.n) if mark[w] == stamp_u or mark[w] == stamp_v
-        ]
+        reached = []
+        for target in (u, v):
+            arcs = out[target]
+            while have < stop_at:
+                for y in arcs:
+                    got = pebbles[y]
+                    if got and y != u and y != v:  # one-hop move
+                        if got > stop_at - have:
+                            got = stop_at - have
+                        left = arcs[y]
+                        if left > got:
+                            arcs[y] = left - got
+                        else:
+                            got = left
+                            del arcs[y]
+                        back = out[y]
+                        back[target] = back.get(target, 0) + got
+                        pebbles[y] -= got
+                        pebbles[target] += got
+                        break
+                else:
+                    if not arcs:  # holds all k pebbles; its region is itself
+                        reached.append((target,))
+                        break
+                    got = self._collect(target, u, v, stop_at - have)
+                    if not got:
+                        reached.append(self._reached)
+                        break
+                have += got
+            else:
+                return have
+        self.last_region = sorted({*reached[0], *reached[1]})
         return have
 
     # -- public surface -----------------------------------------------------
@@ -240,45 +239,54 @@ class PebbleGame:
         return self._gather(u, v, 2 * self.k + 1 if stop_at is None else stop_at)
 
     def insertable(self, u: int, v: int) -> bool:
-        """True iff accepting {u, v} keeps the edge set (k, l)-sparse.
+        """True iff ``insert`` would accept {u, v}; places nothing, spends no room.
 
         Pure with respect to the edge set; the orientation may shift, which
         is harmless.  On False, ``last_region`` holds the blocked vertex set.
         """
-        if not self.insert(u, v):
-            return False
-        self.delete(u, v)
-        return True
+        if u == v:
+            raise ValueError("loops are never sparse here")
+        need = self.l + self.copies
+        have = self.pebbles[u] + self.pebbles[v]
+        return have >= need or need - self._gather(u, v, need) <= self.room
 
     def insert(self, u: int, v: int) -> bool:
-        """Accept {u, v} if the edge set stays sparse.
+        """Accept {u, v} if the edge set stays sparse: a sweep of one edge."""
+        return self.sweep(((u, v),))
+
+    def sweep(self, edges: Iterable[tuple[int, int]]) -> bool:
+        """Insert the edges in order; False at the first one refused.
 
         One gather collects l + copies pebbles onto {u, v}, which is what
         placing the copies one at a time with l + 1 pebbles each demands of
-        every vertex set through u and v.  Copies it falls short by stay
-        unplaced, paid from ``room``; if the room cannot pay, the insert is
-        refused, places nothing, and ``last_region`` holds the blocked set.
+        every vertex set through u and v; ends that already hold them need
+        no gather.  Copies it falls short by stay unplaced, paid from
+        ``room``; if the room cannot pay, the edge is refused, places
+        nothing, ``last_region`` holds the blocked set, and the sweep stops.
         """
-        if u == v:
-            raise ValueError("loops are never sparse here")
         pebbles, out, copies = self.pebbles, self.out, self.copies
         need = self.l + copies
-        have = pebbles[u] + pebbles[v]
-        # ends that already hold enough pebbles need no gather
-        short = need - (have if have >= need else self._gather(u, v, need))
-        if short > 0:
-            if short > self.room:
-                return False
-            self.room -= short
-            self.unplaced += short
-            copies -= short
-        from_u = pebbles[u] if pebbles[u] < copies else copies
-        if from_u:
-            pebbles[u] -= from_u
-            out[u][v] = out[u].get(v, 0) + from_u
-        if from_u < copies:
-            pebbles[v] -= copies - from_u
-            out[v][u] = out[v].get(u, 0) + copies - from_u
+        for u, v in edges:
+            if u == v:
+                raise ValueError("loops are never sparse here")
+            place = copies
+            if pebbles[u] + pebbles[v] < need:
+                short = need - self._gather(u, v, need)
+                if short > 0:
+                    if short > self.room:
+                        return False
+                    self.room -= short
+                    self.unplaced += short
+                    place -= short
+            from_u = pebbles[u] if pebbles[u] < place else place
+            if from_u:
+                pebbles[u] -= from_u
+                arcs = out[u]
+                arcs[v] = arcs.get(v, 0) + from_u
+            if from_u < place:
+                pebbles[v] -= place - from_u
+                arcs = out[v]
+                arcs[u] = arcs.get(u, 0) + place - from_u
         return True
 
     def delete(self, u: int, v: int) -> None:

@@ -183,9 +183,11 @@ _WITNESS_LIMIT = 40
 
 # Sweeps of graphs on more vertices than this insert their edges in peel
 # order.  On small graphs the order costs more than it saves: with the
-# order's own cost included, decisions ran 1.6-1.8x slower in peel order at
-# n = 8 (G(8, p) and random_sparse_graph hosts at the ten acceptance m),
-# 1.26x at n = 16, broke even near n = 30 and ran 0.91x at n = 40 and 60.
+# order's own cost included, the (m, 0) and (m, 1 - 2m) decisions on
+# random_sparse_graph hosts at the ten acceptance m ran 1.3x slower in peel
+# order at n = 8 and 1.1x at n = 16, then 0.95x at n = 30, 0.86x at n = 40
+# and 0.77x at n = 60 (CPU medians of five).  On G(n, p) graphs with p
+# uniform in [0, 1], mostly refused, peel order lost at every n, by 1.4-2.5x.
 _PEEL_ABOVE = 40
 
 
@@ -245,12 +247,11 @@ def _sweep(g: Graph, game: PebbleGame) -> bool:
         edges = _peel_order(g.n, edges)
         if not game.l:
             edges.reverse()
-    insert = game.insert
-    return all(insert(u, v) for u, v in edges)
+    return game.sweep(edges)
 
 
 def max_violation(
-    g: Graph, a: RationalLike, _accepted: PebbleGame | None = None
+    g: Graph, a: RationalLike, _accepted: PebbleGame | None = None, _positive: bool = False
 ) -> tuple[Fraction, VertexSet]:
     """Exact max of e(G[U]) - a|U| over vertex sets with |U| >= 2, with witness.
 
@@ -278,7 +279,10 @@ def max_violation(
     ``_accepted`` lets is_sparse hand over its scaled game once that game has
     placed every copy of every edge of g, in place of a zero-slack sweep
     (gather counts and stalled regions do not depend on the game's l or on
-    its orientation, so the answer is the same).
+    its orientation, so the answer is the same).  ``_positive`` lets it say
+    that its sweep already showed the maximum positive (a refusal at b >= 0,
+    or a copy left unplaced): the zero-slack sweep would refuse too, so the
+    read goes straight to the min-cut.
 
     Sweep order: the zero-slack sweep decides only whether every edge fits,
     so on large graphs it runs in peel order (_sweep).  The negative-maximum
@@ -296,14 +300,16 @@ def max_violation(
     if g.e == 0:
         return -2 * a, VertexSet(g, [0, 1])
     game = _accepted
-    if game is None:
+    if game is None and not _positive:
         game = PebbleGame.scaled(g.n, a, 0)
         if not _sweep(g, game):
-            # refused at zero slack: positive, witnessed by the minimal cut side
-            value, umin = selection_max(g.n, g.edges, p, q)
-            if value <= 0:
-                raise AssertionError("pebble engine and min cut disagree")
-            return Fraction(value, q), VertexSet(g, umin)
+            game = None
+    if game is None:
+        # positive (refused at zero slack, or shown so): the minimal cut side
+        value, umin = selection_max(g.n, g.edges, p, q)
+        if value <= 0:
+            raise AssertionError("pebble engine and min cut disagree")
+        return Fraction(value, q), VertexSet(g, umin)
     best = None
     region: list[int] = []
     for i, (u, v) in enumerate(g.edges):
@@ -331,7 +337,7 @@ def max_violation(
         u, v = g.edges[0]
         return value, VertexSet(g, [u, v])
     game = PebbleGame.scaled(g.n, a, Fraction(-(s + 1), q))
-    if all(game.insert(u, v) for u, v in g.edges):
+    if game.sweep(g.edges):
         raise AssertionError("gather count and pebble sweep disagree")
     return value, VertexSet(g, game.last_region)
 
@@ -352,7 +358,8 @@ def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:
     game, which may leave up to b*q edge copies unplaced).  For both verdicts
     the certificate's witness and numbers are exact, and computed by
     max_violation the first time one of them is read; a game that placed
-    every copy is handed over in place of a fresh zero-slack sweep.
+    every copy is handed over in place of a fresh zero-slack sweep, and a
+    sweep that showed the maximum positive sends the read to the min-cut.
 
     The sweep runs in peel order above 40 vertices (_sweep), and every output
     is the same as in input order:
@@ -385,8 +392,10 @@ def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:
     game = PebbleGame._counted(g.n, *params._counts)
     sparse = _sweep(g, game)
     accepted = game if sparse and not game.unplaced else None
+    # past b >= 0 a refusal, like an unplaced copy, shows the maximum positive
+    positive = accepted is None and params.b >= 0
     return SparsityCertificate._exact_on_read(
-        sparse, params, lambda: max_violation(g, params.a, _accepted=accepted)
+        sparse, params, lambda: max_violation(g, params.a, _accepted=accepted, _positive=positive)
     )
 
 

@@ -240,6 +240,49 @@ def test_cached_spare_regions_match_a_fresh_engine(data):
         _assert_spare_invariant(eng, members, b)
 
 
+def _filtered_circuit(eng, u, v):
+    """The circuit of {u, v} by a filter over all members: each one tested
+    against the refused gather's region joined with every spare edge's
+    stalled region.  None when {u, v} fits."""
+    game, host = eng.game, eng.host
+    if len(eng.spare) < eng.room or game.gather_max(u, v) > game.l:
+        return None
+    inside = set(game.last_region)
+    for eid in eng.spare:
+        assert game.gather_max(*host.edges[eid]) == 0
+        inside.update(game.last_region)
+    return sorted(eid for eid in eng.members if inside.issuperset(host.edges[eid]))
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(st.data())
+def test_member_index_circuits_match_a_filter_over_all_members(data):
+    # b <= 0 and b > 0 (spare edges): circuits walk the region's vertices
+    # through the per-vertex member index, which must agree with members
+    a = data.draw(st.integers(1, 3), label="a")
+    b = data.draw(st.integers(1 - 2 * a, 3), label="b")
+    n = data.draw(st.integers(2, 9), label="n")
+    pairs = list(combinations(range(n), 2))
+    missing = data.draw(st.sets(st.sampled_from(pairs), max_size=n), label="missing")
+    host = sf.Graph(n, [pair for pair in pairs if pair not in missing])
+    eng = PebbleCountEngine(host, a, b)
+    for _ in range(data.draw(st.integers(0, 40), label="steps")):
+        op = data.draw(st.sampled_from(["insert", "circuit", "delete"]), label="op")
+        if op == "delete" and eng.members:
+            eng.delete(data.draw(st.sampled_from(sorted(eng.members)), label="eid"))
+        elif len(eng.members) < host.e:
+            eid = data.draw(st.sampled_from([e for e in range(host.e) if e not in eng.members]))
+            u, v = host.edges[eid]
+            expected = _filtered_circuit(eng, u, v)
+            if op == "circuit":
+                assert eng.circuit(u, v) == expected
+            else:
+                assert eng.insert(eid, u, v) == expected
+        index = {(w, eid, x) for w, incident in enumerate(eng._incident) for eid, x in incident.items()}
+        ends = [(eid, *host.edges[eid]) for eid in eng.members]
+        assert index == {(u, eid, v) for eid, u, v in ends} | {(v, eid, u) for eid, u, v in ends}
+
+
 def test_mincut_reference_takes_rational_bounds(rng):
     # the brute partition search runs its b > 0 sides on this engine
     for _ in range(40):

@@ -1,7 +1,7 @@
 """Keyless pebble game: random insert/delete runs against the brute oracle
 and the min-cut minimal tight set, and gathers against brute-force slack."""
 
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -121,17 +121,34 @@ def test_delete_refuses_a_game_that_spent_room():
 
 
 class _ReferenceGame(PebbleGame):
-    """The kernel before one-hop moves and stalled-end skipping: every collect
-    is a full DFS, and u is searched again after every path found from v."""
+    """The kernel without its shortcuts: every collect is a full breadth-first
+    search from its end (no one-hop move, no inline stall), u is searched
+    again after every path found from v, a double stall's region is read off
+    a scan of all n marks, and each insert gathers and places on its own."""
+
+    def insert(self, u: int, v: int) -> bool:
+        if u == v:
+            raise ValueError("loops are never sparse here")
+        placed = min(self.copies, self._gather(u, v, self.l + self.copies) - self.l)
+        if self.copies - placed > self.room:
+            return False
+        self.room -= self.copies - placed
+        self.unplaced += self.copies - placed
+        from_u = min(self.pebbles[u], placed)
+        for tail, head, count in ((u, v, from_u), (v, u, placed - from_u)):
+            if count:
+                self.pebbles[tail] -= count
+                self.out[tail][head] = self.out[tail].get(head, 0) + count
+        return True
 
     def _collect(self, target: int, u: int, v: int, want: int) -> int:
         self._stamp += 1
         stamp, mark, prev, pebbles, out = self._stamp, self._mark, self._prev, self.pebbles, self.out
         mark[target] = stamp
-        stack = [target]
+        queue = deque([target])
         found = -1
-        while stack:
-            x = stack.pop()
+        while queue and found < 0:
+            x = queue.popleft()
             for y in out[x]:
                 if mark[y] == stamp:
                     continue
@@ -139,9 +156,8 @@ class _ReferenceGame(PebbleGame):
                 prev[y] = x
                 if pebbles[y] > 0 and y != u and y != v:
                     found = y
-                    stack.clear()
                     break
-                stack.append(y)
+                queue.append(y)
         if found < 0:
             return 0
         amount = min(pebbles[found], want)
@@ -185,8 +201,7 @@ def _state(game: PebbleGame):
 
 def _spy_stalled_ends(game: PebbleGame) -> None:
     """Wrap the game's kernel: within one gather, every search from an end
-    that already stalled (the extra search at a double stall included) must
-    stall again and move nothing."""
+    that already stalled must stall again and move nothing."""
     collect, gather = game._collect, game._gather
     stalled: set[int] = set()
 
@@ -247,3 +262,23 @@ def test_kernel_moves_exactly_as_the_reference(data):
             if op == "insert" and got is True:
                 inserted.append((u, v))
         assert _state(game) == _state(ref)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_sweep_moves_as_edge_by_edge_inserts(data):
+    # twin games: the kernel sweeps each edge list, the reference inserts its
+    # edges one at a time up to the first refusal; parallel edges welcome
+    n = data.draw(st.integers(2, 8), label="n")
+    k = data.draw(st.integers(1, 4), label="k")
+    l = data.draw(st.integers(0, 2 * k - 1), label="l")
+    copies = data.draw(st.integers(1, 3), label="copies")
+    room = data.draw(st.integers(0, 4), label="room")
+    game, twin = PebbleGame(n, k, l, copies), _ReferenceGame(n, k, l, copies)
+    game.room = twin.room = room
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    for _ in range(data.draw(st.integers(1, 4), label="sweeps")):
+        edges = [tuple(e) for e in data.draw(st.lists(pair, max_size=12), label="edges")]
+        accepted = game.sweep(edges)
+        assert accepted == all(twin.insert(u, v) for u, v in edges)
+        assert _state(game) == _state(twin)

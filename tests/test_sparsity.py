@@ -390,6 +390,37 @@ def test_max_violation_asks_the_min_cut_only_for_a_positive_maximum(monkeypatch)
         cuts.clear()
 
 
+def test_a_read_the_sweep_showed_positive_runs_no_sweep(monkeypatch):
+    # a refusal at b >= 0, or an elongated game that left copies unplaced,
+    # shows the maximum positive: the read goes straight to the min-cut and
+    # gives what a fresh max_violation (zero-slack sweep, then min-cut) gives
+    sweeps = []
+    real = PebbleGame.sweep
+
+    def spy(game, edges):
+        sweeps.append(game)
+        return real(game, edges)
+
+    monkeypatch.setattr(PebbleGame, "sweep", spy)
+    rng = random.Random(5)
+    k5 = sf.complete_graph(5)
+    host = plus_edges(random_sparse_graph(50, 2, rng), 3, rng)
+    verdicts = []
+    for g, a, bs in ((k5, Fraction(3, 2), (0, 1, 3)), (sf.Graph(45, k5.edges), Fraction(3, 2), (0, 1, 3)),
+                     (host, 2, (0, 1, 3))):
+        for b in bs:
+            cert = sf.is_sparse(g, sf.SparsityParams(a, b))
+            verdicts.append(cert.sparse)
+            sweeps.clear()
+            record = cert.to_json_dict()
+            assert sweeps == []
+            value, witness = sf.max_violation(g, a)
+            assert value > 0 and len(sweeps) == 1
+            assert (cert.max_violation, cert.witness) == (value - b, witness)
+            assert record["witness"] == witness.sorted()
+    assert verdicts == [False, False, True] * 3
+
+
 def test_potential_submodularity(rng):
     for _ in range(60):
         g = random_graph(rng, rng.randint(3, 9), rng.random())
