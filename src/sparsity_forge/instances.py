@@ -22,7 +22,8 @@ def random_sparse_graph(
     Samples roughly DENSITY_FACTOR * a * n candidate pairs of a random graph
     and greedily deletes every edge whose retention would break sparsity
     (equivalently: keeps each candidate iff the pebble engine accepts it),
-    stopping once floor(a*n + b) edges survive.  Deterministic given the RNG.
+    keeping at most floor(a*n + b) edges: fewer when the candidates run out
+    first.  Deterministic given the RNG.
     A candidate inside a region that already refused one is skipped without a
     gather: that region's slack only falls as edges are kept.
     """
@@ -43,7 +44,10 @@ def random_sparse_graph(
     kept: list[tuple[int, int]] = []
     # Edges are only added, so a region that refused a pair stays blocked
     # for every later pair inside it.  blocked[w] has bit i set when w lies
-    # in the i-th refused region; a shared bit skips the pebble gather.
+    # in the i-th refused region; a shared bit skips the pebble gather.  A
+    # stalled end's region with no pebble keeps slack 0 for good: searches
+    # skip it, and all its bits are set, since its union with any refused
+    # region stays refused (the slack k|U| - c*e(U) is submodular).
     blocked = [0] * n
     bit = 1
     for u, v in order:
@@ -57,4 +61,7 @@ def random_sparse_graph(
             for w in game.last_region:
                 blocked[w] |= bit
             bit <<= 1
+            for region in game._bury_free_regions():
+                for w in region:
+                    blocked[w] = -1
     return Graph(n, kept)

@@ -38,6 +38,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
+# a mark above every stamp a game reaches (a stamp past it only ends burials),
+# and the largest int CPython keeps in one digit, which compares fastest
+_BURIED = (1 << 30) - 1
+
 
 def _scaled_counts(a: Fraction | int, b: Fraction | int) -> tuple[int, int, int, int]:
     """(k, l, copies, room) of the game deciding (a, b)-sparsity, rational a > 0.
@@ -80,6 +84,7 @@ class PebbleGame:
         self._prev = [0] * n
         self._stamp = 0
         self._reached: list[int] = []  # the last stalled search's vertices
+        self._stalled: list = []  # the last double stall's two search lists
 
     @classmethod
     def scaled(cls, n: int, a: Fraction | int, b: Fraction | int) -> "PebbleGame":
@@ -120,7 +125,7 @@ class PebbleGame:
             prev[y] = target
         for x in queue:
             for y in out[x]:
-                if mark[y] == stamp:
+                if mark[y] >= stamp:  # reached, or buried
                     continue
                 mark[y] = stamp
                 prev[y] = x
@@ -166,9 +171,9 @@ class PebbleGame:
         Each path moves its bottleneck: the fewest of the pebbles still
         wanted, the pebbles at its far end and its arcs' multiplicities.  On
         a double stall ``last_region`` holds everything reached from u or v,
-        sorted.  This is the loop behind gather_max; sweeps call it directly,
-        so that timing or tracing gather_max does not also count every
-        insert.
+        sorted, and ``_stalled`` the two ends' lists.  This is the loop
+        behind gather_max; sweeps call it directly, so that timing or tracing
+        gather_max does not also count every insert.
 
         A breadth-first search scans every out-neighbour of its start before
         it goes deeper, so the first such neighbour holding a pebble is the
@@ -220,8 +225,25 @@ class PebbleGame:
                 have += got
             else:
                 return have
+        self._stalled = reached
         self.last_region = sorted({*reached[0], *reached[1]})
         return have
+
+    def _bury_free_regions(self) -> list:
+        """Right after a refused insert, bury the stalled regions that hold
+        no pebble and return them: searches skip them from now on.  Such a
+        region is closed with slack 0, and in a game that only inserts it
+        stays so: no path to a pebble passes through it, so no reversal
+        changes its arcs, and an edge with one end inside takes every pebble
+        from the other end.  Other vertices are still reached in the same
+        order.  A buried out-neighbour of a search's start takes the stamp,
+        which ends its burial."""
+        pebbles, mark = self.pebbles, self._mark
+        buried = [region for region in self._stalled if not any(map(pebbles.__getitem__, region))]
+        for region in buried:
+            for w in region:
+                mark[w] = _BURIED
+        return buried
 
     # -- public surface -----------------------------------------------------
 

@@ -34,6 +34,14 @@ def _digest(text: str) -> str:
         (90, Fraction(19, 10), Fraction(-1, 10), 32, "5775e1391bb207f2"),
         (70, Fraction(13, 9), Fraction(-2, 9), 33, "2e37e6e3a9839413"),
         (100, Fraction(7, 10), Fraction(-3, 10), 34, "7ee9ceaa16f9bd24"),
+        # large hosts at b = 0, where refusals leave closed pebble-free
+        # regions that later searches skip, and two at b < 0, where none do
+        (600, Fraction(5, 2), Fraction(0), 0, "3f7bae45c96b10ef"),
+        (1000, Fraction(3, 2), Fraction(0), 0, "7a5869b631d52bbe"),
+        (600, Fraction(7), Fraction(0), 0, "e9151305b79e533c"),
+        (1000, Fraction(19, 10), Fraction(0), 0, "18de26208323a321"),
+        (1000, Fraction(9, 5), Fraction(-1, 5), 0, "ff156dbc576d73e0"),
+        (600, Fraction(20, 7), Fraction(-3, 7), 0, "cf7dd7f7f95cd0a9"),
     ],
 )
 def test_generation_digest(n, a, b, seed, expected):

@@ -1,8 +1,10 @@
-"""Instance generation: the refused-region memo skips only candidates that
-the exact oracle refuses."""
+"""Instance generation: the refused-region memo and the buried regions skip
+only candidates that the exact oracle refuses, and change no output."""
 
 import random
 from fractions import Fraction
+
+import pytest
 
 import sparsity_forge as sf
 from sparsity_forge import instances
@@ -19,11 +21,18 @@ class _OrderRecorder(random.Random):
 
 def test_skipped_candidates_are_refused(monkeypatch):
     gathered: set[tuple[int, int]] = set()
+    burials = 0
 
     class Recording(PebbleGame):
         def insert(self, u, v):
             gathered.add((u, v))
             return super().insert(u, v)
+
+        def _bury_free_regions(self):
+            nonlocal burials
+            buried = super()._bury_free_regions()
+            burials += len(buried)
+            return buried
 
     monkeypatch.setattr(instances, "PebbleGame", Recording)
     params = [
@@ -54,3 +63,56 @@ def test_skipped_candidates_are_refused(monkeypatch):
                         kept.append(pair)
                 assert set(kept) == accepted
     assert skipped > 0
+    assert burials > 0
+
+
+def _reference_random_sparse_graph(n, a, rng, b=0):
+    """random_sparse_graph with the refused-region memo and no burial."""
+    a, b = Fraction(a), Fraction(b)
+    target = max(0, int(a * n + b))
+    want = min(max(1, instances.DENSITY_FACTOR * target), n * (n - 1) // 2)
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < want:
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u != v:
+            pairs.add((u, v) if u < v else (v, u))
+    order = sorted(pairs)
+    rng.shuffle(order)
+    game = PebbleGame.scaled(n, a, b)
+    kept: list[tuple[int, int]] = []
+    blocked = [0] * n
+    bit = 1
+    for u, v in order:
+        if blocked[u] & blocked[v]:
+            continue
+        if game.insert(u, v):
+            kept.append((u, v))
+            if len(kept) >= target:
+                break
+        else:
+            for w in game.last_region:
+                blocked[w] |= bit
+            bit <<= 1
+    return sf.Graph(n, kept)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # 1, 2, 7 and 10 copies per edge, at b = 0 (burials) and b < 0 (none)
+        (Fraction(1), Fraction(0)),
+        (Fraction(2), Fraction(-1)),
+        (Fraction(3, 2), Fraction(0)),
+        (Fraction(5, 2), Fraction(-1)),
+        (Fraction(20, 7), Fraction(0)),
+        (Fraction(20, 7), Fraction(-3, 7)),
+        (Fraction(19, 10), Fraction(0)),
+        (Fraction(19, 10), Fraction(-1, 10)),
+    ],
+)
+def test_generation_matches_the_loop_without_burial(a, b):
+    for n in (7, 30, 200):
+        for seed in range(3):
+            g = instances.random_sparse_graph(n, a, random.Random(seed), b=b)
+            assert g == _reference_random_sparse_graph(n, a, random.Random(seed), b=b)

@@ -282,3 +282,37 @@ def test_sweep_moves_as_edge_by_edge_inserts(data):
         accepted = game.sweep(edges)
         assert accepted == all(twin.insert(u, v) for u, v in edges)
         assert _state(game) == _state(twin)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_buried_regions_change_no_move(data):
+    # twin games at l = 0 that only insert, parallel edges welcome: one buries
+    # every pebble-free stalled end region a refusal leaves, the other never
+    # buries; the burying game's searches skip vertices, never a move
+    n = data.draw(st.integers(2, 10), label="n")
+    k = data.draw(st.integers(1, 4), label="k")
+    copies = data.draw(st.integers(1, 3), label="copies")
+    game, twin = PebbleGame(n, k, 0, copies), PebbleGame(n, k, 0, copies)
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    for _ in range(data.draw(st.integers(1, 40), label="inserts")):
+        u, v = data.draw(pair)
+        accepted = game.insert(u, v)
+        assert accepted == twin.insert(u, v)
+        assert game.pebbles == twin.pebbles
+        assert [list(arcs.items()) for arcs in game.out] == [list(arcs.items()) for arcs in twin.out]
+        if not accepted:
+            assert set(game.last_region) <= set(twin.last_region)
+            game._bury_free_regions()
+
+
+def test_a_refused_search_skips_a_buried_region():
+    # a (1, 0) game: the triangle 0-1-2 takes every pebble it has, so a
+    # parallel edge inside it is refused and leaves it pebble-free; a later
+    # refusal on the path 5 -> 4 -> 3 -> 0 then stops short of the triangle
+    game = PebbleGame(6, 1, 0)
+    assert game.sweep([(0, 1), (1, 2), (0, 2), (3, 0), (4, 3), (5, 4)])
+    assert not game.insert(0, 1)
+    assert {w for region in game._bury_free_regions() for w in region} == {0, 1, 2}
+    assert not game.insert(4, 5)
+    assert game.last_region == [3, 4, 5]
