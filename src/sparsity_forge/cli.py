@@ -85,14 +85,6 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def verify_decomposition(d):
-    """decompose.verify_decomposition, imported when called: loading the CLI
-    does not load the decomposition engine."""
-    from .decompose import verify_decomposition
-
-    return verify_decomposition(d)
-
-
 def cmd_check(args) -> int:
     from .rationals import parse_rational
     from .sparsity import SparsityParams, _require_regular, is_sparse
@@ -108,7 +100,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    from .decompose import _above_one, decompose_ksw
+    from .decompose import _above_one, decompose_ksw, verify_decomposition
     from .rationals import parse_rational
 
     m = _above_one(parse_rational(args.m))
@@ -174,7 +166,7 @@ def cmd_bench(args) -> int:
     import hashlib
     import random
 
-    from .decompose import decompose_ksw
+    from .decompose import decompose_ksw, verify_decomposition
     from .graphs import write_graph6
     from .instances import random_sparse_graph
     from .rationals import format_rational, parse_rational

@@ -73,7 +73,7 @@ def decompose_ksw(g: Graph, m: Fraction | int) -> Decomposition:
     label = plan.case
     if not plan.forest_first:
         forest, rest = _greedy_forest(g)
-        # a refusal reads only the verdict: its witness would cost a min-cut
+        # a refusal reads only the verdict: its witness would cost a game of its own
         if is_sparse(g.edge_subgraph(rest), plan.final).sparse:
             if not _acyclic(g, forest):
                 raise TheoremViolationError(f"case {label}: the greedy forest has a cycle")

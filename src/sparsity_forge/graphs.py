@@ -416,7 +416,7 @@ def parse_edgelist(text: str) -> Graph:
         first = False
         if header:
             rhs = raw[header.end() :].strip()
-            if not rhs.isdigit():
+            if not (rhs.isascii() and rhs.isdigit()):  # str.isdigit takes '²'
                 raise GraphFormatError(
                     f"invalid vertex count {rhs!r} in header", at + header.end(), line=lineno
                 )

@@ -230,14 +230,15 @@ class PebbleGame:
         return have
 
     def _bury_free_regions(self) -> list:
-        """Right after a refused insert, bury the stalled regions that hold
-        no pebble and return them: searches skip them from now on.  Such a
-        region is closed with slack 0, and in a game that only inserts it
-        stays so: no path to a pebble passes through it, so no reversal
-        changes its arcs, and an edge with one end inside takes every pebble
-        from the other end.  Other vertices are still reached in the same
-        order.  A buried out-neighbour of a search's start takes the stamp,
-        which ends its burial."""
+        """Right after a refused or short insert, bury the stalled regions
+        that hold no pebble and return them: searches skip them from now on.
+        Such a region is closed with slack 0 (a short insert spends every
+        pebble of both ends, and the two regions are closed together), and
+        in a game that only inserts it stays so: no path to a pebble passes
+        through it, so no reversal changes its arcs, and an edge with one end
+        inside takes every pebble from the other end.  Other vertices are
+        still reached in the same order.  A buried out-neighbour of a
+        search's start takes the stamp, which ends its burial."""
         pebbles, mark = self.pebbles, self._mark
         buried = [region for region in self._stalled if not any(map(pebbles.__getitem__, region))]
         for region in buried:

@@ -13,27 +13,28 @@ All decisions run on exact rationals.  For every b the verdict comes from
 one scaled pebble sweep at (a, b) (Lee & Streinu; for b > 0 the elongated
 game, after Whiteley): the graph is sparse exactly when every edge is
 accepted.  The certificate's numbers are exact all the same, for both
-verdicts; they are computed the first time one is read.  A maximum of
-e(G[U]) - a|U| at or below zero is pinned down exactly by gathering pebbles
-on a game that has accepted every edge; only when a zero-slack sweep refuses
-an edge is the maximum positive, and one min-cut over the standard
-edge/vertex selection network computes it (see max_violation, which also
-states the witness conventions).  The density indices m, m2 and
-the pair density are one Dinkelbach ascent over max_violation.
+verdicts; they are computed the first time one is read, by one engine: the
+zero-slack game with room for every copy.  The copies it leaves unplaced
+are q times a positive maximum of e(G[U]) - a|U|, and when it places them
+all, gathering pebbles pins down a maximum at or below zero (see
+max_violation, which also states the witness conventions).  The density
+indices m, m2 and the pair density are one Dinkelbach ascent over
+max_violation.
 
 Edge order is free to a sweep that decides: the game greedily builds a basis
 of a count matroid, so its verdict, and what a certificate reads off the
-game it hands over, are the same in any order.  Graphs on more than 40 vertices are therefore swept in
-smallest-last peel order (``_sweep``), which spares the pebble searches most
-of their repeats.  Games whose output depends on the order keep input order:
-max_violation's negative-maximum witness sweep (its witness is the region of
-the first refused edge), random_sparse_graph (it keeps the edges a game
-accepts) and the engines of matroid_union_partition (they colour edges as
-they arrive).  So does the greedy spanning forest that the decomposition
-tries first (partition._greedy_forest): it is built in ascending id order,
-as the union would build its first side.  The sweep that then checks its
-rest, at (k, 1-s) in the forest-first split and at (m, 1-2m) for every
-other m, only decides, and runs in peel order.
+game it hands over, are the same in any order.  Graphs on more than 40
+vertices are therefore swept in smallest-last peel order (``_sweep_order``),
+which spares the pebble searches most of their repeats.  Games whose output
+depends on the order keep input order: max_violation's negative-maximum
+witness sweep (its witness is the region of the first refused edge),
+random_sparse_graph (it keeps the edges a game accepts) and the engines of
+matroid_union_partition (they colour edges as they arrive).  So does the
+greedy spanning forest that the decomposition tries first
+(partition._greedy_forest): it is built in ascending id order, as the union
+would build its first side.  The sweep that then checks its rest, at
+(k, 1-s) in the forest-first split and at (m, 1-2m) for every other m, only
+decides, and runs in peel order.
 
 Parameters are immutable and, inside the package, built once: ``_params``
 keeps one SparsityParams per (a, b), with its pebble-game counts, and
@@ -45,11 +46,10 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import PathologicalParametersError
 from .graphs import Graph, VertexSet, _Frozen
-from .mincut import selection_max
 from .pebble import PebbleGame, _scaled_counts
 from .rationals import format_rational
 
@@ -234,60 +234,62 @@ def _peel_order(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [e for group in at for e in group]
 
 
-def _sweep(g: Graph, game: PebbleGame) -> bool:
-    """Insert every edge of g into ``game``; True iff the game accepts all.
+def _sweep_order(g: Graph, l: int) -> Sequence[tuple[int, int]]:
+    """The order in which a game with slack ``l`` takes g's edges.
 
-    Above _PEEL_ABOVE vertices the edges go in peel order (_peel_order):
-    forward for games with l > 0, reversed, densest core first, for l = 0
-    (the (a, 0) gates and the elongated games).  is_sparse says why the
-    order changes no output.
+    Input order up to _PEEL_ABOVE vertices; above it peel order
+    (_peel_order): forward for games with l > 0, reversed, densest core
+    first, for l = 0 (the (a, 0) gates and the elongated games).  is_sparse
+    says why the order changes no output.
     """
-    edges = g.edges
-    if g.n > _PEEL_ABOVE:
-        edges = _peel_order(g.n, edges)
-        if not game.l:
-            edges.reverse()
-    return game.sweep(edges)
+    if g.n <= _PEEL_ABOVE:
+        return g.edges
+    edges = _peel_order(g.n, g.edges)
+    if not l:
+        edges.reverse()
+    return edges
 
 
 def max_violation(
-    g: Graph, a: RationalLike, _accepted: PebbleGame | None = None, _positive: bool = False
+    g: Graph, a: RationalLike, _accepted: PebbleGame | None = None
 ) -> tuple[Fraction, VertexSet]:
     """Exact max of e(G[U]) - a|U| over vertex sets with |U| >= 2, with witness.
 
-    Every call takes one route.  A game that has accepted every edge at zero
-    slack (the handed-over one, or a fresh zero-slack sweep) pins down a
-    maximum <= 0 exactly: it equals minus the smallest pebble count
-    gatherable onto an edge's endpoints.  A sweep that refuses an edge shows
-    the maximum is positive, and one min-cut on the selection network gives
-    its value and minimal maximizer (the identity max = total - mincut holds
-    only there: the network cannot express negative maxima, every closure
-    being at least as good as the empty one).
+    Every call takes one route: the (p, 0) game with q copies per edge
+    (a = p/q in lowest terms) and room for all q*e of them, so it refuses
+    no edge.  The copies it leaves unplaced are the q-fold blow-up's nullity
+    in the (p, 0) count matroid, the max of q*e(U) - p|U| floored at 0
+    (Edmonds' rank formula; Whiteley's elongation, as in is_sparse for
+    b > 0), so a positive maximum is ``unplaced / q``.  A game that placed
+    every copy pins down a maximum <= 0: minus the smallest pebble count
+    gatherable onto an edge's endpoints.
 
     Witness conventions: a positive maximum returns its minimal maximizer.
+    In the final state q*e(U) - p|U| = unplaced(U) - pebbles(U) -
+    out-arcs(U), so that is the out-arc closure of the ends of the edges
+    with an unplaced copy: the union of the regions of the inserts that left
+    copies unplaced, which are closed and pebble-free for good and are
+    buried (PebbleGame._bury_free_regions).
     Up to _WITNESS_LIMIT vertices a maximum <= 0 returns the region where
     the smallest gather stalled.  Above it, a zero maximum returns the
     largest zero set, read off the game: the union of the regions of the
-    edges that gather no pebble.  A negative maximum -s/q (a = p/q in lowest
-    terms) returns the region of the first edge refused by a fresh
-    (a, -(s + 1)/q) game, or the first edge when no set beats a lone edge
-    (s = 2p - q).
+    edges that gather no pebble.  A negative maximum -s/q returns the region
+    of the first edge refused by a fresh (a, -(s + 1)/q) game, or the first
+    edge when no set beats a lone edge (s = 2p - q).
 
     Degenerate case: a single-vertex graph has no admissible U; the lone
     vertex is returned with value -a.
 
     ``_accepted`` lets is_sparse hand over its scaled game once that game has
-    placed every copy of every edge of g, in place of a zero-slack sweep
+    placed every copy of every edge of g, in place of the fresh game
     (gather counts and stalled regions do not depend on the game's l or on
-    its orientation, so the answer is the same).  ``_positive`` lets it say
-    that its sweep already showed the maximum positive (a refusal at b >= 0,
-    or a copy left unplaced): the zero-slack sweep would refuse too, so the
-    read goes straight to the min-cut.
+    its orientation, so the answer is the same).
 
-    Sweep order: the zero-slack sweep decides only whether every edge fits,
-    so on large graphs it runs in peel order (_sweep).  The negative-maximum
-    witness sweep must keep input order: its witness is the region of the
-    first edge it refuses, and another order may refuse another edge first.
+    Insert order: neither the nullity nor the minimal maximizer depends on
+    it, so the fresh game takes the edges in is_sparse's order
+    (_sweep_order).  The negative-maximum witness sweep must keep input
+    order: its witness is the region of the first edge it refuses, and
+    another order may refuse another edge first.
     """
     a = Fraction(a)
     if a <= 0:
@@ -300,16 +302,17 @@ def max_violation(
     if g.e == 0:
         return -2 * a, VertexSet(g, [0, 1])
     game = _accepted
-    if game is None and not _positive:
-        game = PebbleGame.scaled(g.n, a, 0)
-        if not _sweep(g, game):
-            game = None
     if game is None:
-        # positive (refused at zero slack, or shown so): the minimal cut side
-        value, umin = selection_max(g.n, g.edges, p, q)
-        if value <= 0:
-            raise AssertionError("pebble engine and min cut disagree")
-        return Fraction(value, q), VertexSet(g, umin)
+        game = PebbleGame._counted(g.n, p, 0, q, q * g.e)
+        short: set[int] = set()
+        for u, v in _sweep_order(g, 0):
+            unplaced = game.unplaced
+            game.insert(u, v)
+            if game.unplaced > unplaced:
+                short.update(game.last_region)
+                game._bury_free_regions()
+        if game.unplaced:
+            return Fraction(game.unplaced, q), VertexSet(g, short)
     best = None
     region: list[int] = []
     for i, (u, v) in enumerate(g.edges):
@@ -358,11 +361,11 @@ def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:
     game, which may leave up to b*q edge copies unplaced).  For both verdicts
     the certificate's witness and numbers are exact, and computed by
     max_violation the first time one of them is read; a game that placed
-    every copy is handed over in place of a fresh zero-slack sweep, and a
-    sweep that showed the maximum positive sends the read to the min-cut.
+    every copy is handed over in place of max_violation's fresh zero-slack
+    game, and any other read plays that game.
 
-    The sweep runs in peel order above 40 vertices (_sweep), and every output
-    is the same as in input order:
+    The sweep runs in peel order above 40 vertices (_sweep_order), and every
+    output is the same as in input order:
     * for b <= 0 the game accepts every edge exactly when the blow-up is
       independent, in any order;
     * for b > 0 the copies it places are the blow-up's rank in any order, so
@@ -390,12 +393,10 @@ def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:
             params=params,
         )
     game = PebbleGame._counted(g.n, *params._counts)
-    sparse = _sweep(g, game)
+    sparse = game.sweep(_sweep_order(g, game.l))
     accepted = game if sparse and not game.unplaced else None
-    # past b >= 0 a refusal, like an unplaced copy, shows the maximum positive
-    positive = accepted is None and params.b >= 0
     return SparsityCertificate._exact_on_read(
-        sparse, params, lambda: max_violation(g, params.a, _accepted=accepted, _positive=positive)
+        sparse, params, lambda: max_violation(g, params.a, _accepted=accepted)
     )
 
 

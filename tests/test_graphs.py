@@ -282,6 +282,14 @@ def test_edgelist_header_and_roundtrip():
         sf.parse_edgelist("n = 2\n0 5")
 
 
+@pytest.mark.parametrize("count", ["²", "٣", "12³", "x"])
+def test_edgelist_header_count_takes_ascii_digits_only(count):
+    # str.isdigit holds for '²' and '٣', which int() refuses or reads as 3
+    with pytest.raises(GraphFormatError, match="invalid vertex count") as info:
+        sf.parse_edgelist(f"n = {count}\n0 1\n")
+    assert (info.value.line, info.value.offset) == (1, 4)
+
+
 # -- generators ---------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sparsity_forge as sf
-from sparsity_forge import sparsity
+from sparsity_forge import matroid, mincut, sparsity  # noqa: F401 (matroid binds selection_max)
 from sparsity_forge.errors import PathologicalParametersError
 from sparsity_forge.instances import random_sparse_graph
 from sparsity_forge.pebble import PebbleGame
@@ -367,58 +368,157 @@ def test_max_violation_strategies_agree(rng):
     assert zeros >= 10 and positives >= 10
 
 
-def test_max_violation_asks_the_min_cut_only_for_a_positive_maximum(monkeypatch):
+@pytest.fixture
+def cuts(monkeypatch):
+    """The calls of mincut.selection_max, spied on in every module that binds it."""
+    calls = []
+    real = mincut.selection_max
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sparsity_forge") and getattr(module, "selection_max", None) is real:
+            monkeypatch.setattr(module, "selection_max", spy)
+    return calls
+
+
+@pytest.fixture
+def games(monkeypatch):
+    """(n, k, l, copies, room) of every pebble game built through _counted."""
+    built = []
+    real = PebbleGame._counted.__func__
+
+    def spy(cls, n, k, l, copies, room):
+        built.append((n, k, l, copies, room))
+        return real(cls, n, k, l, copies, room)
+
+    monkeypatch.setattr(PebbleGame, "_counted", classmethod(spy))
+    return built
+
+
+def test_max_violation_asks_no_min_cut_at_any_maximum(cuts, games):
     # K4 padded with isolated vertices past 40: its maximum of e(U) - a|U|
-    # is 6 - 4a, negative at a = 2, zero at 3/2 and positive at 1
-    cuts = []
-    cut = sparsity.selection_max
-
-    def cut_spy(*args, **kwargs):
-        cuts.append(args)
-        return cut(*args, **kwargs)
-
-    monkeypatch.setattr(sparsity, "selection_max", cut_spy)
+    # is 6 - 4a, negative at a = 2, zero at 3/2 and positive at 1.  Each
+    # read plays one zero-slack game with room for every copy (a negative
+    # maximum adds its witness game, at l > 0), and none asks the min-cut
     k4 = sf.complete_graph(4)
     for n in (41, 50, 60):
         h = sf.Graph(n, k4.edges)
         assert sf.max_violation(h, 2) == (-2, sf.VertexSet(h, range(4)))
         assert sf.max_violation(h, Fraction(3, 2)) == (0, sf.VertexSet(h, range(4)))
-        assert cuts == []
+        assert [game for game in games if not game[2]] == [(n, 2, 0, 1, 6), (n, 3, 0, 2, 12)]
+        games.clear()
     for h in (k4, sf.Graph(8, k4.edges), sf.Graph(45, k4.edges)):
         assert sf.max_violation(h, 1) == (2, sf.VertexSet(h, range(4)))
-        assert len(cuts) == 1
-        cuts.clear()
+        assert games == [(h.n, 1, 0, 1, 6)]
+        games.clear()
+    assert cuts == []
 
 
-def test_a_read_the_sweep_showed_positive_runs_no_sweep(monkeypatch):
+def test_a_read_the_sweep_showed_positive_plays_one_zero_slack_game(cuts, games):
     # a refusal at b >= 0, or an elongated game that left copies unplaced,
-    # shows the maximum positive: the read goes straight to the min-cut and
-    # gives what a fresh max_violation (zero-slack sweep, then min-cut) gives
-    sweeps = []
-    real = PebbleGame.sweep
-
-    def spy(game, edges):
-        sweeps.append(game)
-        return real(game, edges)
-
-    monkeypatch.setattr(PebbleGame, "sweep", spy)
+    # shows the maximum positive: the read plays one zero-slack game with
+    # room for every copy, asks no min-cut, and gives what a fresh
+    # max_violation gives
     rng = random.Random(5)
     k5 = sf.complete_graph(5)
     host = plus_edges(random_sparse_graph(50, 2, rng), 3, rng)
     verdicts = []
     for g, a, bs in ((k5, Fraction(3, 2), (0, 1, 3)), (sf.Graph(45, k5.edges), Fraction(3, 2), (0, 1, 3)),
-                     (host, 2, (0, 1, 3))):
+                     (host, Fraction(2), (0, 1, 3))):
+        game = (g.n, a.numerator, 0, a.denominator, a.denominator * g.e)
         for b in bs:
             cert = sf.is_sparse(g, sf.SparsityParams(a, b))
             verdicts.append(cert.sparse)
-            sweeps.clear()
+            games.clear()
             record = cert.to_json_dict()
-            assert sweeps == []
+            assert games == [game]
             value, witness = sf.max_violation(g, a)
-            assert value > 0 and len(sweeps) == 1
+            assert value > 0 and games == [game, game]
             assert (cert.max_violation, cert.witness) == (value - b, witness)
             assert record["witness"] == witness.sorted()
     assert verdicts == [False, False, True] * 3
+    assert cuts == []
+
+
+def _below(draw, top):
+    # a rational a with 0 < a < top and a denominator of at most 9
+    q = draw(st.integers(1, 9))
+    largest = -(-top.numerator * q // top.denominator) - 1  # the last p with p/q < top
+    assume(largest >= 1)
+    return Fraction(draw(st.integers(1, largest)), q)
+
+
+@st.composite
+def positive_maximum_cases(draw):
+    # a graph whose maximum of e(U) - a|U| is positive: G(n, p) at n <= 14
+    # (relabelled onto 41-80 vertices in the "padded" kind), or a sparse host
+    # on 41-80 vertices with dense blocks planted in it
+    kind = draw(st.sampled_from(("small", "padded", "planted")))
+    if kind == "planted":
+        rnd = draw(st.randoms(use_true_random=False))
+        n = draw(st.integers(41, 80))
+        edges = {tuple(sorted(rnd.sample(range(n), 2))) for _ in range(rnd.randint(n // 2, 2 * n))}
+        top = Fraction(0)  # the densest block's e(U)/|U|, a lower bound on the maximum's
+        for _ in range(draw(st.integers(1, 3))):
+            block = rnd.sample(range(n), draw(st.integers(4, 9)))
+            inside = [tuple(sorted(pair)) for pair in combinations(block, 2) if rnd.random() < 0.9]
+            edges.update(inside)
+            top = max(top, Fraction(len(inside), len(block)))
+        return sf.Graph(n, sorted(edges)), _below(draw, top), None
+    n = draw(st.integers(3, 14))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=2))
+    g = sf.Graph(n, edges)
+    # below the whole graph's density, so the whole vertex set scores > 0
+    a = _below(draw, Fraction(g.e, n))
+    if kind == "small":
+        return g, a, g
+    perm = draw(st.permutations(range(draw(st.integers(41, 80)))))
+    return sf.Graph(len(perm), [(perm[u], perm[v]) for u, v in g.edges]), a, None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(positive_maximum_cases())
+@example((sf.complete_graph(5), Fraction(3, 2), sf.complete_graph(5)))
+def test_positive_maxima_match_the_min_cut_and_brute_force(case):
+    # value and minimal maximizer against the selection network's min-cut,
+    # and at n <= 14 against exhaustive search; the copies the zero-slack
+    # game leaves unplaced are the same whether or not it buries regions
+    g, a, small = case
+    p, q = a.numerator, a.denominator
+    value, witness = sf.max_violation(g, a)
+    reference, minimal = mincut.selection_max(g.n, g.edges, p, q)
+    assert reference > 0
+    assert (value, witness.ids) == (Fraction(reference, q), frozenset(minimal))
+    if 2 * a >= 1:  # the certificate of a refusal at b = 0 reads the same maximum
+        cert = sf.is_sparse(g, sf.SparsityParams(a, 0))
+        assert not cert.sparse and (cert.max_violation, cert.witness) == (value, witness)
+    if small is not None:
+        assert value == -sf.brute_sparse(g, a, 1).min_potential  # b does not move it
+        assert (value, witness.ids) == _maximizer_union_and_intersection(g, a)[::2]
+    buries, plain = (PebbleGame._counted(g.n, p, 0, q, q * g.e) for _ in range(2))
+    short = []
+    for u, v in sparsity._sweep_order(g, 0):
+        unplaced = buries.unplaced
+        buries.insert(u, v)
+        if buries.unplaced > unplaced:
+            short.append((u, v))
+            buries._bury_free_regions()
+    assert plain.sweep(sparsity._sweep_order(g, 0))
+    assert (buries.unplaced, buries.pebbles, buries.out) == (plain.unplaced, plain.pebbles, plain.out)
+    assert buries.unplaced == reference
+    # the witness is the out-arc closure of the short edges' ends
+    closure = {w for edge in short for w in edge}
+    stack = list(closure)
+    while stack:
+        for w in plain.out[stack.pop()]:
+            if w not in closure:
+                closure.add(w)
+                stack.append(w)
+    assert closure == witness.ids
 
 
 def test_potential_submodularity(rng):
@@ -510,29 +610,29 @@ def test_cached_params_equal_fresh_ones_and_carry_the_game_counts(a, b):
         assert cached._counts == (game.k, game.l, game.copies, game.room)
 
 
-def test_decision_only_callers_never_compute_the_maximum(monkeypatch):
+def test_decision_only_callers_never_compute_the_maximum(monkeypatch, cuts, games):
     calls = []
-    cuts = []
     exact = sparsity.max_violation
-    cut = sparsity.selection_max
 
     def spy(*args, **kwargs):
         calls.append(args)
         return exact(*args, **kwargs)
 
-    def cut_spy(*args, **kwargs):
-        cuts.append(args)
-        return cut(*args, **kwargs)
+    def maximum_games(graphs):
+        # games built as max_violation builds its own: zero slack, room for every copy
+        return [game for game in games for g in graphs
+                if game[0] == g.n and not game[2] and game[4] == game[3] * g.e]
 
     monkeypatch.setattr(sparsity, "max_violation", spy)
-    monkeypatch.setattr(sparsity, "selection_max", cut_spy)
     rng = random.Random(4)
     # one host per regime of the decomposition, either side of n = 40
+    decided = []
     for m, n in ((Fraction(3, 2), 30), (Fraction(19, 10), 45), (Fraction(5, 2), 35),
                  (Fraction(20, 7), 45), (Fraction(7), 30)):
         g = random_sparse_graph(n, m, rng)
+        decided.append(g)
         assert sf.verify_decomposition(sf.decompose_ksw(g, m))
-    assert calls == []
+    assert calls == [] and maximum_games(decided) == []
     for g in (random_sparse_graph(30, 2, rng), random_sparse_graph(50, 2, rng)):
         cert = sf.is_sparse(g, sf.SparsityParams(Fraction(5, 2), -1))
         assert cert.sparse and calls == []
@@ -549,22 +649,27 @@ def test_decision_only_callers_never_compute_the_maximum(monkeypatch):
                  (plus_edges(random_sparse_graph(50, 2, rng), 2, rng), Fraction(19, 10))):
         with pytest.raises(sf.NotSparseError) as info:
             sf.decompose_ksw(g, m)
+        decided.append(g)
         refusals.append(info.value.certificate)
     for g, sides in ((sf.complete_graph(6), (1, -1, 1, 1)),
                      (plus_edges(random_sparse_graph(45, 2, rng), 3, rng), (1, 0, 1, 1))):
         with pytest.raises(sf.NotSparseError) as info:
             sf.partition_sparse(g, *sides)
+        decided.append(g)
         refusals.append(info.value.certificate)
-    assert calls == [] and cuts == []
-    for cert in refusals:
+    assert calls == [] and cuts == [] and maximum_games(decided) == []
+    for g, cert in zip(decided[-4:], refusals):
         assert not cert.sparse
         assert cert.max_violation > 0 and len(calls) == 1
         assert cert.to_json_dict()["witness"] == cert.witness.sorted() and len(calls) == 1
+        assert len(maximum_games([g])) == 1
         calls.clear()
-    cuts.clear()
+    assert cuts == []
+    games.clear()
     # b > 0 independence tests, accepted and refused, read no certificate
     refused = 0
-    for g in (random_sparse_graph(30, 2, rng), plus_edges(random_sparse_graph(50, 2, rng), 2, rng)):
+    tested = [random_sparse_graph(30, 2, rng), plus_edges(random_sparse_graph(50, 2, rng), 2, rng)]
+    for g in tested:
         for a, b in ((1, 1), (2, 1), (1, 2)):
             o = sf.make_oracle(g, a, b)
             ids = []
@@ -572,7 +677,7 @@ def test_decision_only_callers_never_compute_the_maximum(monkeypatch):
                 if o.is_independent(sf.EdgeSet(g, ids + [eid])):
                     ids.append(eid)
             refused += g.e - len(ids)
-    assert refused and calls == [] and cuts == []
+    assert refused and calls == [] and cuts == [] and maximum_games(tested) == []
 
 
 def test_peel_order_is_smallest_last_and_a_permutation():
