@@ -34,8 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import TheoremViolationError
-from .graphs import EdgeSet, Graph, VertexSet, _Frozen
-from .partition import _gate, _greedy_forest, _split
+from .graphs import EdgeSet, Graph, VertexSet, _Frozen, _greedy_forest
+from .partition import _gate, _split
 from .rationals import format_rational
 from .refine import _acyclic, _SplitPartition, brooks_refine, eliminate_triangles
 from .sparsity import CASE_D2, CASE_SMALL_TRIANGLE_FREE, _plan, is_sparse
@@ -72,12 +72,13 @@ def decompose_ksw(g: Graph, m: Fraction | int) -> Decomposition:
     _gate(g, plan)
     label = plan.case
     if not plan.forest_first:
-        forest, rest = _greedy_forest(g)
+        forest, rest_ids = _greedy_forest(g)
+        rest = EdgeSet(g, rest_ids)  # returned as is: verify_decomposition sweeps its subgraph
         # a refusal reads only the verdict: its witness would cost a game of its own
-        if is_sparse(g.edge_subgraph(rest), plan.final).sparse:
+        if is_sparse(rest.subgraph, plan.final).sparse:
             if not _acyclic(g, forest):
                 raise TheoremViolationError(f"case {label}: the greedy forest has a cycle")
-            return Decomposition(g, EdgeSet(g, forest), EdgeSet(g, rest), m, label)
+            return Decomposition(g, EdgeSet(g, forest), rest, m, label)
     result = _split(g, plan)
     f, r = result.e1, result.e2
     # refine runs no check on a _SplitPartition: verify_decomposition below
@@ -130,7 +131,7 @@ def verify_decomposition(d: Decomposition) -> VerificationReport:
         problems.append(f"m = {format_rational(m)} is not positive")
     else:
         final = _plan(m).final
-        cert = is_sparse(g.edge_subgraph(d.Gp.ids), final)
+        cert = is_sparse(d.Gp.subgraph, final)
         if not cert.sparse:
             problems.append(
                 f"G' is not ({format_rational(final.a)}, {format_rational(final.b)})-sparse; "

@@ -181,17 +181,27 @@ class VertexSet(_Frozen):
 
 
 class EdgeSet(_Frozen):
-    """A subset of a host graph's edge ids, with set semantics."""
+    """A subset of a host graph's edge ids, with set semantics.
+
+    ``subgraph`` is built on first read and kept, so every sweep of one
+    edge set shares one Graph, and the peel order cached on it.
+    """
 
     _fields = ("host", "ids")
 
     def __init__(self, host: Graph, ids: Iterable[int]):
         ids = frozenset(ids)
-        for i in ids:
-            if not (0 <= i < host.e):
-                raise ValueError(f"edge id {i} out of range for host with e={host.e}")
+        e = len(host.edges)
+        if ids and (min(ids) < 0 or max(ids) >= e):
+            bad = next(i for i in ids if not 0 <= i < e)
+            raise ValueError(f"edge id {bad} out of range for host with e={e}")
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "ids", ids)
+
+    @cached_property
+    def subgraph(self) -> Graph:
+        """The host's edge_subgraph of these ids (all n vertices kept)."""
+        return Graph._trusted(self.host.n, self.pairs())
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -240,6 +250,32 @@ class EdgeSet(_Frozen):
 
 def full_edge_set(g: Graph) -> EdgeSet:
     return EdgeSet(g, range(g.e))
+
+
+def _greedy_forest(g: Graph, ids: Iterable[int] | None = None) -> tuple[list[int], list[int]]:
+    """The greedy spanning forest of the edges ``ids`` of g (all of them by
+    default), taken in the given order: the ids it keeps and the ids that
+    close a cycle, each list in that order.
+
+    The one union-find loop of the forest checks (the decomposition's first
+    try, and every acyclicity test), with path halving inlined.
+    """
+    parent = list(range(g.n))
+    edges = g.edges
+    forest: list[int] = []
+    rest: list[int] = []
+    for eid in range(len(edges)) if ids is None else ids:
+        u, v = edges[eid]
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]  # the old u skips to its grandparent
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            rest.append(eid)
+        else:
+            parent[u] = v
+            forest.append(eid)
+    return forest, rest
 
 
 class UnionFind:
@@ -395,8 +431,9 @@ _HEADER = re.compile(r"\s*n *=[ \t]*")  # up to the vertex count of "n = <count>
 def parse_edgelist(text: str) -> Graph:
     """Parse lines of "u v" pairs; an optional first line "n = <count>".
 
-    Vertex count defaults to the largest index + 1.  Duplicate edges,
-    self-loops, and non-integer tokens are rejected.  Errors carry the
+    Vertex count defaults to the largest index + 1.  A vertex is a string
+    of ASCII digits.  Duplicate edges, self-loops, signs and other
+    non-integer tokens are rejected.  Errors carry the
     1-based line and the offset in ``text`` of the offending token (the byte
     offset, for ASCII input).
     """
@@ -426,12 +463,13 @@ def parse_edgelist(text: str) -> Graph:
             raise GraphFormatError(f"expected 'u v', got {raw.strip()!r}", tokens[0][0], line=lineno)
         ends = []
         for pos, tok in tokens:
-            try:
-                w = int(tok)
-            except ValueError:
-                raise GraphFormatError(f"non-integer token {tok!r}", pos, line=lineno) from None
-            if w < 0:
-                raise GraphFormatError(f"negative vertex {w}", pos, line=lineno)
+            # ASCII digits only: int() would also take "1_0", "+0" and "٣"
+            if not (tok.isascii() and tok.isdigit()):
+                digits = tok[1:]
+                if tok[0] == "-" and digits.isascii() and digits.isdigit():
+                    raise GraphFormatError(f"negative vertex {tok}", pos, line=lineno)
+                raise GraphFormatError(f"non-integer token {tok!r}", pos, line=lineno)
+            w = int(tok)
             if declared_n is not None and w >= declared_n:
                 raise GraphFormatError(f"vertex {w} exceeds declared n={declared_n}", pos, line=lineno)
             ends.append(w)

@@ -58,7 +58,7 @@ class CountMatroidOracle:
             # pathological bound: any edge already violates e <= a*2 + b
             result = False
         else:
-            result = is_sparse(self.host.edge_subgraph(s.ids), self.params).sparse
+            result = is_sparse(s.subgraph, self.params).sparse
         self._cache[s.ids] = result
         return result
 

@@ -21,7 +21,7 @@ from collections import deque
 from fractions import Fraction
 
 from .errors import NotSparseError, TheoremViolationError, VerificationError
-from .graphs import EdgeSet, Graph, UnionFind, _Frozen
+from .graphs import EdgeSet, Graph, _Frozen, _greedy_forest
 from .matroid import CountMatroidOracle, engine_for, make_oracle
 from .rationals import format_rational
 from .sparsity import _params, _Plan, _plan, is_sparse
@@ -220,17 +220,6 @@ def _gate(g: Graph, plan: _Plan) -> None:
         raise NotSparseError(
             f"input is not ({format_rational(plan.gate.a)}, 0)-sparse", certificate=cert
         )
-
-
-def _greedy_forest(g: Graph) -> tuple[list[int], list[int]]:
-    """The greedy spanning forest of g in ascending id order, and the other
-    edges: two ascending lists of ids that partition E(g)."""
-    uf = UnionFind(g.n)
-    forest: list[int] = []
-    rest: list[int] = []
-    for eid, (u, v) in enumerate(g.edges):
-        (forest if uf.union(u, v) else rest).append(eid)
-    return forest, rest
 
 
 def _forest_plus(g: Graph, plan: _Plan) -> PartitionResult:

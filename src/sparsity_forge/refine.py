@@ -31,7 +31,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import TheoremViolationError, VerificationError
-from .graphs import EdgeSet, Graph, UnionFind, VertexSet, _Frozen
+from .graphs import EdgeSet, Graph, UnionFind, VertexSet, _Frozen, _greedy_forest
 from .matroid import ForestEngine
 from .sparsity import SparsityParams, _params, is_sparse
 
@@ -68,13 +68,7 @@ class _SplitPartition(ForestPartition):
 
 
 def _acyclic(g: Graph, ids) -> bool:
-    uf = UnionFind(g.n)
-    edges = g.edges
-    for eid in ids:
-        u, v = edges[eid]
-        if not uf.union(u, v):
-            return False
-    return True
+    return not _greedy_forest(g, ids)[1]
 
 
 class _Remainder:
@@ -157,7 +151,7 @@ def eliminate_triangles(
     trusted = isinstance(part, _SplitPartition)
     if not trusted:
         _require_sparse(g, _params(2, -1), "host")
-        _require_sparse(g.edge_subgraph(part.R.ids), _params(1, 0), "remainder")
+        _require_sparse(part.R.subgraph, _params(1, 0), "remainder")
     rem = _Remainder(g, part.R.ids)
     count = rem.triangle_count()
     if trace is not None:
@@ -256,7 +250,7 @@ def find_bad_sets(g: Graph, R: EdgeSet, k: int, s: int) -> list[VertexSet]:
     """
     if R.host != g:
         raise ValueError("edge set belongs to a different host graph")
-    _require_sparse(g.edge_subgraph(R.ids), _params(k, 1 - s), "remainder")
+    _require_sparse(R.subgraph, _params(k, 1 - s), "remainder")
     return _find_bad_sets(g, R.ids, k, s)
 
 
@@ -347,7 +341,7 @@ def brooks_refine(
     trusted = isinstance(part, _SplitPartition)
     if not trusted:
         _require_sparse(g, _params(k + 1, -s), "host")
-        _require_sparse(g.edge_subgraph(part.R.ids), _params(k, 1 - s), "remainder")
+        _require_sparse(part.R.subgraph, _params(k, 1 - s), "remainder")
     bad = _find_bad_sets(g, part.R.ids, k, s)
     if trace is not None:
         trace.append(len(bad))

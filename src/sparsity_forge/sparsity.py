@@ -31,7 +31,7 @@ witness sweep (its witness is the region of the first refused edge),
 random_sparse_graph (it keeps the edges a game accepts) and the engines of
 matroid_union_partition (they colour edges as they arrive).  So does the
 greedy spanning forest that the decomposition tries first
-(partition._greedy_forest): it is built in ascending id order, as the union
+(graphs._greedy_forest): it is built in ascending id order, as the union
 would build its first side.  The sweep that then checks its rest, at
 (k, 1-s) in the forest-first split and at (m, 1-2m) for every other m, only
 decides, and runs in peel order.
@@ -198,7 +198,9 @@ def _peel_order(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
     least degree in what is left, found through a bucket queue per degree,
     in O(n + e).  Each bucket is a stack, so among the vertices of least
     degree the one whose degree fell last is peeled first (at the start,
-    the highest id).  Edges peeled at the same position keep input order.
+    the highest id).  Edges peeled at the same position keep input order:
+    a vertex lists its neighbours in the order of its edges, and its edges
+    to the vertices still unpeeled are emitted when it is peeled.
     """
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -208,30 +210,28 @@ def _peel_order(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
     buckets: list[list[int]] = [[] for _ in range(max(degree, default=0) + 1)]
     for v in range(n):
         buckets[degree[v]].append(v)
-    position = [-1] * n
+    peeled = [False] * n
+    order: list[tuple[int, int]] = []
     d = 0
-    for i in range(n):
+    for _ in range(n):
         while True:  # stale entries (peeled, or degree since fallen) are skipped
             bucket = buckets[d]
             if not bucket:
                 d += 1
                 continue
             v = bucket.pop()
-            if position[v] < 0 and degree[v] == d:
+            if not peeled[v] and degree[v] == d:
                 break
-        position[v] = i
+        peeled[v] = True
         for w in adj[v]:
-            if position[w] < 0:
+            if not peeled[w]:
                 dw = degree[w] - 1
                 degree[w] = dw
                 buckets[dw].append(w)
+                order.append((v, w) if v < w else (w, v))
         if d:  # removing v lowers the least degree by at most one
             d -= 1
-    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e in edges:
-        pu, pv = position[e[0]], position[e[1]]
-        at[pu if pu < pv else pv].append(e)
-    return [e for group in at for e in group]
+    return order
 
 
 def _sweep_order(g: Graph, l: int) -> Sequence[tuple[int, int]]:
@@ -241,13 +241,20 @@ def _sweep_order(g: Graph, l: int) -> Sequence[tuple[int, int]]:
     (_peel_order): forward for games with l > 0, reversed, densest core
     first, for l = 0 (the (a, 0) gates and the elongated games).  is_sparse
     says why the order changes no output.
+
+    Each Graph is peeled once: the order is kept, as a tuple, in the
+    instance's dict under ``_peel``, so the sweeps of one graph (a host's
+    gate, and the three sweeps of a decomposition's remainder, which share
+    its EdgeSet.subgraph) all read it.
     """
     if g.n <= _PEEL_ABOVE:
         return g.edges
-    edges = _peel_order(g.n, g.edges)
-    if not l:
-        edges.reverse()
-    return edges
+    try:
+        edges = g._peel
+    except AttributeError:
+        edges = tuple(_peel_order(g.n, g.edges))
+        object.__setattr__(g, "_peel", edges)
+    return edges if l else edges[::-1]
 
 
 def max_violation(

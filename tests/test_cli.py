@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsity_forge as sf
-from sparsity_forge import decompose, instances
+from sparsity_forge import decompose, instances, sparsity
 from sparsity_forge.cli import main
 
 
@@ -114,6 +114,8 @@ def test_edgelist_errors_name_the_line_and_byte(capsys, monkeypatch):
         (b"0 1\r\n\r\n 1 0\r\n", "duplicate edge (0, 1) (line 3, at byte offset 8)"),
         (b"0 1\n2 2\n", "self-loop at vertex 2 (line 2, at byte offset 4)"),
         (b"0 1\n1 -2\n", "negative vertex -2 (line 2, at byte offset 6)"),
+        (b"0 1_0\n", "non-integer token '1_0' (line 1, at byte offset 2)"),
+        (b"0 1\n+0 1\n", "non-integer token '+0' (line 2, at byte offset 4)"),
         (b"\nn = 3\n0 1\n1 3\n", "vertex 3 exceeds declared n=3 (line 4, at byte offset 13)"),
         (b"0 1\n0 1 2\n", "expected 'u v', got '0 1 2' (line 2, at byte offset 4)"),
     ]
@@ -124,6 +126,33 @@ def test_edgelist_errors_name_the_line_and_byte(capsys, monkeypatch):
         where = re.fullmatch(r"(.*) \(line (\d+), at byte offset (\d+)\)", message)
         reason, line, offset = where.group(1), int(where.group(2)), int(where.group(3))
         assert (code, out, err) == (2, error_record(reason, line, offset), f"error: {message}\n")
+
+
+def test_rational_options_take_negative_values(capsys, monkeypatch):
+    triangle = g6(sf.complete_graph(3))
+    code, out, _ = run_cli(capsys, ["check", "--a", "7/3", "--b", "-1/3"], triangle, monkeypatch)
+    assert code == 0 and json.loads(out)["b"] == "-1/3"
+    assert run_cli(capsys, ["check", "--a", "7/3", "--b=-1/3"], triangle, monkeypatch)[1] == out
+    # a negative --a or --m reaches the check of its value, not argparse's
+    # "expected one argument"
+    code, _, err = run_cli(capsys, ["check", "--a", "-7/3", "--b", "1"], "", monkeypatch)
+    assert (code, err) == (2, "error: sparsity coefficient a must be positive, got -7/3\n")
+    code, _, err = run_cli(capsys, ["decompose", "--m", "-5/2"], "", monkeypatch)
+    assert (code, err) == (2, "error: decomposition needs m > 1\n")
+    # plain negative integers parse as before
+    code, out, _ = run_cli(capsys, ["check", "--a", "1", "--b", "-1"], triangle, monkeypatch)
+    assert (code, out) == (1, TRIANGLE)
+    code, out, _ = run_cli(
+        capsys, ["partition", "--a1", "1", "--b1", "-1", "--a2", "1", "--b2", "-2"],
+        g6(sf.Graph(3, [(0, 1), (1, 2)])), monkeypatch,
+    )
+    assert code == 0 and json.loads(out)["outcome"] == "success"
+    for argv in ([], ["check"]):
+        try:
+            main([*argv, "--help"])
+        except SystemExit:
+            pass
+        assert "-1/3" in capsys.readouterr().out
 
 
 def test_invalid_utf8_graph6_line_names_the_byte(capsys, monkeypatch):
@@ -437,16 +466,22 @@ def test_bench_runs_each_m_of_a_list(capsys):
 def test_bench_failed_check_exits_2(capsys, monkeypatch):
     # the bench's own checks raise, so they still hold under python -O
     failing = sf.VerificationReport(ok=False, problems=("F contains a cycle",))
-    real, checked = decompose.verify_decomposition, []
+    real_verify, real_decompose = decompose.verify_decomposition, decompose.decompose_ksw
+    inside = []
 
-    def second_check_fails(d):
-        # decompose_ksw's own final check passes; the bench's check of the same d fails
-        if any(d is seen for seen in checked):
-            return failing
-        checked.append(d)
-        return real(d)
+    def decompose_ksw(g, m):
+        inside.append(g)
+        try:
+            return real_decompose(g, m)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(decompose, "verify_decomposition", second_check_fails)
+    def bench_check_fails(d):
+        # decompose_ksw's own final check passes; the bench's checks of its output fail
+        return real_verify(d) if inside else failing
+
+    monkeypatch.setattr(decompose, "decompose_ksw", decompose_ksw)
+    monkeypatch.setattr(decompose, "verify_decomposition", bench_check_fails)
     code, _, err = run_cli(capsys, ["bench", "decompose", "--sizes", "24", "--m", "5/2"])
     assert code == 2 and err.startswith("error:") and "verify_decomposition" in err
 
@@ -456,6 +491,21 @@ def test_bench_refuses_a_host_that_is_not_sparse(capsys, monkeypatch):
     monkeypatch.setattr(instances, "random_sparse_graph", lambda n, m, rng: sf.complete_graph(7))
     code, _, err = run_cli(capsys, ["bench", "decompose", "--sizes", "24", "--m", "5/2"])
     assert code == 2 and err == "error: generated host n=24 is not (5/2, 0)-sparse\n"
+
+
+def test_bench_repeats_each_stage_on_cold_inputs(capsys, monkeypatch):
+    # each repeat of the split and the verify stage gets a fresh host and
+    # Decomposition, so no repeat reads a peel order or subgraph that an
+    # earlier one cached: at m = 7 a split peels the host, R0 and F0, and a
+    # verify peels R0 (a warm repeat would peel nothing)
+    real, peeled = sparsity._peel_order, []
+    monkeypatch.setattr(
+        sparsity, "_peel_order", lambda n, edges: peeled.append(edges) or real(n, edges)
+    )
+    code, out, _ = run_cli(capsys, ["bench", "decompose", "--sizes", "60", "--m", "7"])
+    assert code == 0 and out.split()[-2:] == ["large_m_case_A", "7"]
+    host, r0, f0 = peeled[:3]
+    assert peeled == [host, r0, f0] * 3 + [r0] * 3
 
 
 def test_bench_unknown_suite(capsys):

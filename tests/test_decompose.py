@@ -223,6 +223,42 @@ def test_refine_cases_sweep_only_the_gate_sides_and_final_check(monkeypatch):
             assert (d.F, d.Gp) == _old_route(host, m)
 
 
+def test_forest_first_decomposition_peels_each_graph_once(monkeypatch):
+    # decompose plus the caller's verify at a forest-first m, n > 40: five
+    # sweeps (the gate; R0 at (k, 1 - s) and F0 at (1, -1) in the split;
+    # two final checks of R0), but only three peels (host, R0, F0), and
+    # R0's three sweeps share one subgraph, its EdgeSet's
+    m = Fraction(7)
+    host = random_sparse_graph(60, m, random.Random(5))
+    real_peel, real_order = sparsity._peel_order, sparsity._sweep_order
+    peeled, swept = [], []
+
+    def peel(n, edges):
+        peeled.append(edges)
+        return real_peel(n, edges)
+
+    def order(g, l):
+        swept.append(g)
+        return real_order(g, l)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sparsity, "_peel_order", peel)
+        patch.setattr(sparsity, "_sweep_order", order)
+        d = sf.decompose_ksw(host, m)
+        assert sf.verify_decomposition(d)
+    r0, f0 = tuple(d.Gp.pairs()), tuple(d.F.pairs())
+    assert d.trace == sparsity.CASE_A and d.Gp.sorted() == _greedy_rest(host)
+    assert [g.edges for g in swept] == [host.edges, r0, f0, r0, r0]
+    assert peeled == [host.edges, r0, f0]
+    assert all(g is d.Gp.subgraph for g in swept if g.edges == r0)
+    # the same answer from fresh objects, and from the host's cached order
+    record = d.to_json_dict(verified=True)
+    fresh = sf.decompose_ksw(sf.Graph(host.n, host.edges), m)
+    assert fresh.to_json_dict(verified=bool(sf.verify_decomposition(fresh))) == record
+    again = sf.decompose_ksw(host, m)
+    assert again.to_json_dict(verified=bool(sf.verify_decomposition(again))) == record
+
+
 def test_greedy_try_changes_nothing_where_its_rest_fits_the_union(rng):
     # where the greedy rest is (k, 1 - s)-sparse the union returns the greedy
     # split itself, and refinement then finds nothing to repair in a rest

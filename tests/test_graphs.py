@@ -263,6 +263,23 @@ def test_edgelist_errors():
         sf.parse_edgelist("0 x")
 
 
+@pytest.mark.parametrize("token", ["1_0", "+0", "\u0663", "\u00b2", "0x1", "1.0", "-", "--1"])
+def test_edgelist_vertices_are_ascii_digits(token):
+    # int() takes the first four; a vertex is a string of ASCII digits
+    with pytest.raises(GraphFormatError) as info:
+        sf.parse_edgelist(f"0 1\n2  {token}\n")
+    err = info.value
+    assert (err.reason, err.line, err.offset) == (f"non-integer token {token!r}", 2, 7)
+
+
+@pytest.mark.parametrize("token", ["-1", "-0", "-00"])
+def test_edgelist_signed_vertices_are_negative(token):
+    with pytest.raises(GraphFormatError) as info:
+        sf.parse_edgelist(f"n = 3\n{token} 1\n")
+    err = info.value
+    assert (err.reason, err.line, err.offset) == (f"negative vertex {token}", 2, 6)
+
+
 @settings(max_examples=300, derandomize=True)
 @given(st.text(alphabet="0123 \t\r\n=nx-", max_size=40))
 def test_edgelist_errors_point_into_their_line(text):

@@ -731,5 +731,23 @@ def test_peel_ordered_sweeps_keep_verdicts_and_certificates(case):
     record = cert.to_json_dict()  # reads every lazy field
     assert cert.max_violation == slow.max_violation
     assert padded.induced_edge_count(cert.witness.ids) - a * len(cert.witness) == -slow.min_potential
+    # a fresh Graph of the same edges: padded keeps the peel order its sweep cached
+    unpeeled = sf.Graph(padded.n, padded.edges)
     with mock.patch.object(sparsity, "_peel_order", lambda n, edges: list(edges)):
-        assert sf.is_sparse(padded, params).to_json_dict() == record
+        assert sf.is_sparse(unpeeled, params).to_json_dict() == record
+
+
+def test_each_graph_is_peeled_once():
+    g = random_sparse_graph(60, Fraction(5, 2), random.Random(3))
+    with mock.patch.object(sparsity, "_peel_order", wraps=sparsity._peel_order) as peel:
+        forward = sparsity._sweep_order(g, 1)
+        backward = sparsity._sweep_order(g, 0)
+        assert sparsity._sweep_order(g, 2) is forward
+        small = sf.complete_graph(5)
+        assert sparsity._sweep_order(small, 0) is small.edges  # not peeled at n <= 40
+    assert peel.call_count == 1
+    assert forward == tuple(sparsity._peel_order(g.n, g.edges))
+    assert backward == forward[::-1]
+    # the cache is no field: equality, hashing and repr ignore it
+    twin = sf.Graph(g.n, g.edges)
+    assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
