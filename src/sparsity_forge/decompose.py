@@ -11,8 +11,12 @@ spanning forest F0 in ascending id order is tried first:
 * for every other m, R0 is swept once at (m, 1-2m).  The theorem asks only
   for some forest whose rest passes that bound, so if R0 passes, (F0, R0)
   is the answer and the sweep was its final check.  Only if it refuses
-  does the constructive route run: the matroid union's split, then a
-  refinement where the rest's (k, 1-s) bound is too weak.
+  does the constructive route run: a split into a forest and a
+  (k, 1-s)-sparse rest, then a refinement where that bound is too weak.
+  Where s = 1 the split is partition._oriented_split: (F0, R0) if R0 is
+  (k, 0)-sparse, else the forest read off one (k+1, 0) pebble game's
+  orientation, with no matroid union.  At every other m it is the matroid
+  union's split.
 
 The refinement:
 
@@ -35,7 +39,7 @@ from fractions import Fraction
 
 from .errors import TheoremViolationError
 from .graphs import EdgeSet, Graph, VertexSet, _Frozen, _greedy_forest
-from .partition import _gate, _split
+from .partition import _gate, _oriented_split, _split
 from .rationals import format_rational
 from .refine import _acyclic, _SplitPartition, brooks_refine, eliminate_triangles
 from .sparsity import CASE_D2, CASE_SMALL_TRIANGLE_FREE, _plan, is_sparse
@@ -79,7 +83,8 @@ def decompose_ksw(g: Graph, m: Fraction | int) -> Decomposition:
             if not _acyclic(g, forest):
                 raise TheoremViolationError(f"case {label}: the greedy forest has a cycle")
             return Decomposition(g, EdgeSet(g, forest), rest, m, label)
-    result = _split(g, plan)
+    # s = 1 needs eps > 1/2, so forest_first never holds there
+    result = _oriented_split(g, plan, forest, rest) if plan.s == 1 else _split(g, plan)
     f, r = result.e1, result.e2
     # refine runs no check on a _SplitPartition: verify_decomposition below
     # re-checks what it returns

@@ -26,6 +26,12 @@ def random_sparse_graph(
     first.  Deterministic given the RNG.
     A candidate inside a region that already refused one is skipped without a
     gather: that region's slack only falls as edges are kept.
+
+    Each vertex is drawn as ``random.Random.randrange(n)`` draws it: by
+    rejection over ``getrandbits(n.bit_length())``, here inlined.  So the
+    graphs are the ones randrange would give for a random.Random, or for a
+    subclass whose randrange still draws that way, but not necessarily for
+    an rng whose randrange draws otherwise.
     """
     a, b = Fraction(a), Fraction(b)
     if a <= 0 or b > 0 or 2 * a + b < 1:
@@ -33,9 +39,15 @@ def random_sparse_graph(
     target = max(0, int(a * n + b))
     want = min(max(1, DENSITY_FACTOR * target), n * (n - 1) // 2)
     pairs: set[tuple[int, int]] = set()
+    bits, getrandbits = n.bit_length(), rng.getrandbits
     while len(pairs) < want:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
+        # u = rng.randrange(n), inlined (see the docstring); v likewise
+        u = getrandbits(bits)
+        while u >= n:
+            u = getrandbits(bits)
+        v = getrandbits(bits)
+        while v >= n:
+            v = getrandbits(bits)
         if u != v:
             pairs.add((u, v) if u < v else (v, u))
     order = sorted(pairs)

@@ -13,6 +13,11 @@ If the search exhausts, the visited elements B certify impossibility:
 every visited element's circuit stayed inside B, so each side's members
 within B span B, giving r1(B) + r2(B) = |B| - 1 < |B|.  The certificate is
 re-verified through the public greedy rank before being returned.
+
+The decomposition's split at s = forest_slack(k, eps) = 1 needs no union:
+_oriented_split reads a forest and a (k, 0)-sparse rest off one (k+1, 0)
+pebble game's orientation.  partition_forest_plus and partition_sparse
+keep the union's split, which is their contract.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from fractions import Fraction
 from .errors import NotSparseError, TheoremViolationError, VerificationError
 from .graphs import EdgeSet, Graph, _Frozen, _greedy_forest
 from .matroid import CountMatroidOracle, engine_for, make_oracle
+from .pebble import PebbleGame
 from .rationals import format_rational
-from .sparsity import _params, _Plan, _plan, is_sparse
+from .sparsity import _params, _Plan, _plan, _sweep_order, is_sparse
 
 
 class PartitionResult(_Frozen):
@@ -256,3 +262,64 @@ def _split(g: Graph, plan: _Plan) -> PartitionResult:
             f"against (1,-1) + ({k},{1 - s}); certificate B={result.deficiency.sorted()}"
         )
     return result
+
+
+def _oriented_split(g: Graph, plan: _Plan, forest: list[int], rest: EdgeSet) -> PartitionResult:
+    """A forest and a (k, 0)-sparse rest of a host that has passed
+    ``plan.gate``, where ``plan.s`` = 1, with no matroid union.
+
+    ``forest`` lists the ids of a forest of g and ``rest`` holds every
+    other edge: decompose_ksw passes its greedy spanning forest and that
+    forest's rest.  If the rest is (k, 0)-sparse, that pair is the split,
+    and it is the one the union returns (see _split).  Otherwise one
+    (k+1, 0) pebble game orients the host with out-degree <= k+1 (Hakimi).
+    A vertex of out-degree k+1 is full.  A breadth-first search runs
+    backwards along the arcs from the other vertices, in ascending id
+    order, and each full vertex it reaches puts its arc to the vertex it
+    was reached from into the forest; every other arc goes to the rest, so
+    each vertex keeps out-degree <= k there.  With s = 1 the gate makes the
+    host (k+1, -1)-sparse, so the search reaches every full vertex: the
+    (k+1)|S| out-arcs of an unreached set S would all stay inside S.  The
+    forest's arcs point from later-reached vertices to earlier ones, so it
+    has no cycle (Whiteley's forest plus pseudoforest, for k = 1).
+
+    The result is checked as a certificate, not by a sweep: the forest is
+    acyclic, and the orientation gives every vertex out-degree <= k in the
+    rest.  TheoremViolationError if either fails.
+    """
+    k = plan.k
+    if is_sparse(rest.subgraph, _params(k, 0)).sparse:
+        return PartitionResult(success=True, e1=EdgeSet(g, forest), e2=rest)
+    n, edge_index = g.n, g.edge_index
+    game = PebbleGame(n, k + 1, 0)
+    if not game.sweep(_sweep_order(g, 0)):
+        raise TheoremViolationError(
+            f"certified ({format_rational(plan.gate.a)}, 0)-sparse input is not ({k + 1}, 0)-sparse"
+        )
+    tail = [-1] * g.e
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # head -> (tail, edge id)
+    for x, arcs in enumerate(game.out):
+        for y in arcs:
+            eid = edge_index[(x, y) if x < y else (y, x)]
+            tail[eid] = x
+            into[y].append((x, eid))
+    reached = [p > 0 for p in game.pebbles]  # a full vertex holds no pebble
+    queue = [v for v in range(n) if reached[v]]
+    tree: list[int] = []
+    for w in queue:
+        for x, eid in into[w]:
+            if not reached[x]:
+                reached[x] = True
+                queue.append(x)
+                tree.append(eid)
+    in_tree = set(tree)
+    rest_ids = [eid for eid in range(g.e) if eid not in in_tree]
+    outdeg = [0] * n
+    for eid in rest_ids:
+        outdeg[tail[eid]] += 1
+    if -1 in tail or max(outdeg) > k or _greedy_forest(g, tree)[1]:
+        raise TheoremViolationError(
+            f"the ({k + 1}, 0) orientation of a certified ({format_rational(plan.gate.a)}, 0)-sparse "
+            f"input gave no forest plus ({k}, 0)-sparse rest"
+        )
+    return PartitionResult(success=True, e1=EdgeSet(g, tree), e2=EdgeSet(g, rest_ids))

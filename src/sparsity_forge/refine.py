@@ -56,9 +56,10 @@ class ForestPartition(_Frozen):
 class _SplitPartition(ForestPartition):
     """A partition decompose_ksw makes of the split it has just built.
 
-    The decomposition's gate and the split's side checks imply every
-    precondition of the two procedures below, and verify_decomposition
-    re-checks what they return.  So this partition is built without the
+    The decomposition's gate and the split's own checks (the union's side
+    sweeps, or the oriented split's certificate) imply every precondition
+    of the two procedures below, and verify_decomposition re-checks what
+    they return.  So this partition is built without the
     checks, and the procedures run no sparsity sweep for it and return one
     of its kind.
     """

@@ -33,8 +33,12 @@ matroid_union_partition (they colour edges as they arrive).  So does the
 greedy spanning forest that the decomposition tries first
 (graphs._greedy_forest): it is built in ascending id order, as the union
 would build its first side.  The sweep that then checks its rest, at
-(k, 1-s) in the forest-first split and at (m, 1-2m) for every other m, only
-decides, and runs in peel order.
+(k, 1-s) in the forest-first split, at (m, 1-2m) for every other m and at
+(k, 0) in the oriented split, only decides, and runs in peel order.  The
+oriented split's (k+1, 0) game is the exception that uses _sweep_order and
+still depends on it: its forest is read off the orientation, and another
+order orients the host otherwise.  Its order is fixed (the l = 0 order of
+_sweep_order), so its output is deterministic all the same.
 
 Parameters are immutable and, inside the package, built once: ``_params``
 keeps one SparsityParams per (a, b), with its pebble-game counts, and
@@ -369,7 +373,10 @@ def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:
     the certificate's witness and numbers are exact, and computed by
     max_violation the first time one of them is read; a game that placed
     every copy is handed over in place of max_violation's fresh zero-slack
-    game, and any other read plays that game.
+    game, and any other read plays that game.  A graph whose own edge count
+    breaks the bound (q*e > k*n - l + room, in the game's numbers) is
+    refused without a game: a sweep would refuse it too, and a refusal
+    hands over nothing, so its certificate is the same.
 
     The sweep runs in peel order above 40 vertices (_sweep_order), and every
     output is the same as in input order:
@@ -399,8 +406,11 @@ def is_sparse(g: Graph, params: SparsityParams) -> SparsityCertificate:
             min_potential=None,
             params=params,
         )
-    game = PebbleGame._counted(g.n, *params._counts)
-    sparse = game.sweep(_sweep_order(g, game.l))
+    k, l, q, room = params._counts
+    if q * g.e > k * g.n - l + room:  # the whole graph breaks the bound: refused unswept
+        return SparsityCertificate._exact_on_read(False, params, lambda: max_violation(g, params.a))
+    game = PebbleGame._counted(g.n, k, l, q, room)
+    sparse = game.sweep(_sweep_order(g, l))
     accepted = game if sparse and not game.unplaced else None
     return SparsityCertificate._exact_on_read(
         sparse, params, lambda: max_violation(g, params.a, _accepted=accepted)
@@ -559,10 +569,14 @@ class _Plan(_Frozen):
     such m, and on 88-100% of the sparse G(8, p) graphs per acceptance m.
     At every other m the (k, 1-s) test fails on most hosts at n = 40 to
     300, so decompose_ksw tests the rest at the final (m, 1-2m) bound
-    instead, and runs the union and refinement only when it fails.  That
-    test passed on every random_sparse_graph host at n = 30 to 400 (six
-    per n) at 6/5 and from 18/7 to 34/9, on 4 to 15 of 18 at 3/2, 8/5, 9/5
-    and 19/10, and on 81-100% of the sparse G(8, p) graphs per m.
+    instead, and splits and refines only when it fails.  That test passed
+    on every random_sparse_graph host at n = 30 to 400 (six per n) at 6/5
+    and from 18/7 to 34/9, on 4 to 15 of 18 at 3/2, 8/5, 9/5 and 19/10,
+    and on 81-100% of the sparse G(8, p) graphs per m.  The split is the
+    union's, except where ``s`` = 1 (k = 1 at eps >= 4/5, k >= 2 at
+    eps >= (2k+2)/(2k+3)): there the host is (k+1, -1)-sparse, and
+    partition._oriented_split reads a forest and a (k, 0)-sparse rest off
+    one (k+1, 0) pebble game's orientation.
     """
 
     _fields = ("k", "case", "s", "gate", "final", "forest_first")

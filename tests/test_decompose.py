@@ -160,11 +160,8 @@ def test_each_host_sweep_runs_once(monkeypatch):
         assert sweeps == Counter({(m, 0): 1}), (m, dict(sweeps))
 
 
-def _old_route(g, m):
-    """(F, G') of the constructive route alone: the union's split, then the
-    checked public refinement of m's case."""
-    plan = sparsity._plan(m)
-    split = sf.partition_forest_plus(g, plan.k, m - plan.k)
+def _refined(g, plan, split):
+    """(F, G') of a split after the checked public refinement of plan's case."""
     part = sf.ForestPartition(g, split.e1, split.e2)
     if plan.case == sparsity.CASE_D2:
         part = sf.brooks_refine(part, plan.k, plan.s)
@@ -173,15 +170,32 @@ def _old_route(g, m):
     return part.F, part.R
 
 
+def _old_route(g, m):
+    """(F, G') of the constructive route alone: the union's split, then the
+    checked public refinement of m's case."""
+    plan = sparsity._plan(m)
+    return _refined(g, plan, sf.partition_forest_plus(g, plan.k, m - plan.k))
+
+
+def _oriented_route(g, m):
+    """(F, G') of the s = 1 route alone: the oriented split of the greedy
+    forest and its rest, then the checked public refinement of m's case."""
+    plan = sparsity._plan(m)
+    forest, rest = partition._greedy_forest(g)
+    return _refined(g, plan, partition._oriented_split(g, plan, forest, sf.EdgeSet(g, rest)))
+
+
 def _greedy_rest(g):
     return partition._greedy_forest(g)[1]
 
 
 def test_refine_cases_sweep_only_the_gate_sides_and_final_check(monkeypatch):
     # a greedy forest whose rest passes (m, 1 - 2m) ends the route: the gate
-    # and that sweep are all, and no engine is built.  A refused rest leaves
-    # the union's sides, refine (which sweeps nothing on this route) and the
-    # final check, and the result equals the checked public route's
+    # and that sweep are all, and no engine is built.  At s = 1 a refused
+    # rest is swept once more, at (k, 0); refused there too, it leaves the
+    # (k+1, 0) orientation (a pebble game, not an is_sparse sweep), refine
+    # (which sweeps nothing on this route) and the final check.  No union
+    # engine is built, and the result equals the checked public route's
     real = sf.is_sparse
     modules = [mod for name, mod in sys.modules.items()
                if name.startswith("sparsity_forge.") and vars(mod).get("is_sparse") is real]
@@ -216,11 +230,12 @@ def test_refine_cases_sweep_only_the_gate_sides_and_final_check(monkeypatch):
             assert built == []
             assert d.Gp.sorted() == _greedy_rest(host)
         else:
-            assert sweeps == [(m, 0), (m, 1 - 2 * m), (1, -1), (plan.k, 1 - plan.s),
-                              (m, 1 - 2 * m)]
-            # the union's two engines, and eliminate_triangles' for its swaps
-            assert built == ["ForestEngine", "PebbleCountEngine", "ForestEngine"]
-            assert (d.F, d.Gp) == _old_route(host, m)
+            assert plan.s == 1
+            assert sweeps == [(m, 0), (m, 1 - 2 * m), (plan.k, 0), (m, 1 - 2 * m)]
+            # no union runs, and eliminate_triangles builds its engine only
+            # for a swap, which this oriented rest does not need
+            assert built == []
+            assert (d.F, d.Gp) == _oriented_route(host, m)
 
 
 def test_forest_first_decomposition_peels_each_graph_once(monkeypatch):

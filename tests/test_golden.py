@@ -52,7 +52,9 @@ def test_generation_digest(n, a, b, seed, expected):
 @pytest.mark.parametrize(
     "m, n, seed, expected",
     [
-        (Fraction(19, 10), 30, 2, "804ad22fabdd72ac"),
+        # re-recorded once, from 804ad22fabdd72ac, when the (k+1, 0) orientation
+        # replaced the matroid union at s = 1: the greedy rest is not (1, 0)-sparse here
+        (Fraction(19, 10), 30, 2, "aa21fc55be77adc9"),
         # re-recorded once, from 0c02f2e3a96a8622, when the greedy forest became
         # the first try at m without the forest-first split: its rest passes here
         (Fraction(20, 7), 30, 12, "1beee6972ace5f96"),
@@ -61,7 +63,9 @@ def test_generation_digest(n, a, b, seed, expected):
         # where the (k, 1 - s) side is (m, 1 - 2m) itself
         (Fraction(6, 5), 30, 14, "57dab5bf1e3d141c"),
         (Fraction(8, 5), 40, 15, "01dababdef0af56b"),
-        (Fraction(9, 5), 40, 16, "295b77b7b772320b"),
+        # re-recorded once, from 295b77b7b772320b, when the (k+1, 0) orientation
+        # replaced the matroid union at s = 1: the greedy rest is not (1, 0)-sparse here
+        (Fraction(9, 5), 40, 16, "7bf04a0059cf0b28"),
         (Fraction(3), 40, 17, "692c317438b91e67"),
     ],
 )

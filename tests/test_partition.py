@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsity_forge as sf
-from sparsity_forge import matroid, partition, sparsity
+from sparsity_forge import matroid, mincut, partition, sparsity
 from sparsity_forge.errors import NotSparseError
 from sparsity_forge.instances import random_sparse_graph
 
-from conftest import atlas_graphs
+from conftest import atlas_graphs, random_graph
 
 
 def test_k4_into_two_spanning_trees():
@@ -218,17 +218,108 @@ def test_forest_first_falls_back_to_the_union_on_k5(monkeypatch):
 
 
 def test_decompose_runs_the_union_only_where_the_forest_first_split_fails(monkeypatch):
-    # forest-first at 7; at 20/7 the greedy rest passes the final sweep, and
-    # at 19/10 on this host it does not, so the union runs there alone
+    # forest-first at 7; at 20/7 the greedy rest passes the final sweep; at
+    # 19/10 on this host it does not, but s = forest_slack(1, 9/10) = 1, so
+    # the (k+1, 0) orientation splits it and no union engine is built.  At
+    # 3/2 (s = 2) a refused greedy try still runs the union
     calls = _spy_engine_for(monkeypatch)
     sf.decompose_ksw(random_sparse_graph(200, 7, random.Random(1)), 7)
-    assert calls == []
     m = Fraction(20, 7)
     sf.decompose_ksw(random_sparse_graph(200, m, random.Random(1)), m)
-    assert calls == []
     m = Fraction(19, 10)
+    assert sparsity._plan(m).s == 1
     sf.decompose_ksw(random_sparse_graph(60, m, random.Random(16)), m)
-    assert calls == [(1, -1), (1, 0)]  # s = forest_slack(1, 9/10) = 1
+    assert calls == []
+    m = Fraction(3, 2)
+    sf.decompose_ksw(random_sparse_graph(60, m, random.Random(0)), m)
+    assert calls == [(1, -1), (1, -1)]  # s = forest_slack(1, 1/2) = 2
+
+
+# every s = 1 regime of the bench: k = 1 at eps >= 4/5, and k = 2, 3 at
+# eps >= (2k+2)/(2k+3)
+_S1_M = [Fraction(9, 5), Fraction(19, 10), Fraction(20, 7), Fraction(35, 9)]
+
+
+def _own_acyclic(g, ids):
+    """The test's own union-find: no edge of ids closes a cycle."""
+    parent = list(range(g.n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for eid in ids:
+        ru, rv = (root(x) for x in g.edges[eid])
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def _oriented_splits(g, plan):
+    """_oriented_split of g from its greedy forest, as decompose_ksw calls
+    it, and from no forest at all: that rest is all of g, so the
+    orientation runs unless g itself is (k, 0)-sparse."""
+    forest, rest = partition._greedy_forest(g)
+    yield partition._oriented_split(g, plan, forest, sf.EdgeSet(g, rest))
+    yield partition._oriented_split(g, plan, [], sf.EdgeSet(g, range(g.e)))
+
+
+def _checked_splits(hosts, m, gate, rest_is_sparse):
+    """Check every oriented split of the hosts that pass ``gate``: it
+    partitions E, its forest is acyclic by the test's own union-find, and
+    ``rest_is_sparse`` holds for its rest.  Returns how many forests the
+    orientation built (a non-empty forest from no forest at all)."""
+    plan = sparsity._plan(m)
+    assert plan.s == 1, m
+    oriented = 0
+    for g in hosts:
+        if not gate(g):
+            continue
+        for i, split in enumerate(_oriented_splits(g, plan)):
+            assert split.success
+            assert not split.e1.ids & split.e2.ids
+            assert split.e1.ids | split.e2.ids == frozenset(range(g.e))
+            assert _own_acyclic(g, split.e1.ids), (m, g.edges)
+            assert rest_is_sparse(g.edge_subgraph(split.e2.sorted()), plan.k), (m, g.edges)
+            oriented += i == 1 and len(split.e1) > 0
+    return oriented
+
+
+def test_oriented_split_is_a_forest_and_a_k_0_sparse_rest_by_brute_force(rng):
+    # gate and rest both by exhaustive search, never by the pebble game
+    for m in _S1_M:
+        hosts = [random_sparse_graph(n, m, random.Random(100 * n + seed))
+                 for n in (5, 6, 7, 8) for seed in range(3)]
+        hosts += [random_graph(rng, 8, rng.random()) for _ in range(40)]
+        oriented = _checked_splits(
+            hosts, m,
+            gate=lambda g: sf.brute_sparse(g, m, 0).sparse,
+            rest_is_sparse=lambda r, k: sf.brute_sparse(r, k, 0).sparse,
+        )
+        assert oriented >= 5, m
+
+
+def _min_cut_sparse(g, a):
+    """(a, 0)-sparsity by one selection max, without the pebble game: the
+    max of q*e(U) - p|U| over every U, a = p/q, is 0 exactly when no U on
+    two or more vertices breaks the bound (the empty set scores 0, a lone
+    vertex -p).  At slack 0 this one min-cut decides what the per-edge
+    min-cuts through each edge's ends decide together."""
+    a = Fraction(a)
+    return mincut.selection_max(g.n, g.edges, a.numerator, a.denominator)[0] == 0
+
+
+def test_oriented_split_rest_passes_the_min_cut_above_40_vertices():
+    rng = random.Random(27)
+    for m in _S1_M:
+        hosts = [random_sparse_graph(rng.randint(41, 120), m, rng) for _ in range(2)]
+        # G(n, p) at average degree 1.6m: mostly past (k, 0) and within (m, 0)
+        hosts += [random_graph(rng, n, 1.6 * m / n) for n in (rng.randint(41, 120) for _ in range(3))]
+        oriented = _checked_splits(hosts, m, gate=lambda g: _min_cut_sparse(g, m),
+                                   rest_is_sparse=_min_cut_sparse)
+        assert oriented >= 3, m
 
 
 def test_k_forest_and_k_pseudoforest_splits(rng):

@@ -680,6 +680,39 @@ def test_decision_only_callers_never_compute_the_maximum(monkeypatch, cuts, game
     assert refused and calls == [] and cuts == [] and maximum_games(tested) == []
 
 
+def test_whole_graph_refusals_build_no_game_and_match_the_sweep(games):
+    # a graph whose own edge count breaks the bound is refused before any
+    # game is built; every verdict and certificate is the one a sweep and
+    # max_violation give, at b < 0, b = 0 and b > 0, either side of n = 40
+    rng = random.Random(29)
+    params = [sf.SparsityParams(a, b)
+              for a, b in ((Fraction(3, 2), -1), (2, Fraction(-1, 3)), (Fraction(5, 2), 0),
+                           (Fraction(7, 3), 0), (2, 1), (Fraction(5, 3), Fraction(1, 2)))]
+    whole = swept_refusals = 0
+    for n in (8, 20, 41, 70):
+        hosts = [random_graph(rng, n, rng.uniform(0, 8 / (n - 1))) for _ in range(8)]
+        # a sparse graph with a planted K6: refused, but not as a whole
+        k6 = sf.complete_graph(6).edges
+        hosts += [sf.Graph(n, sorted({*random_graph(rng, n, 1.5 / n).edges, *k6})) for _ in range(3)]
+        for g in hosts:
+            for par in params:
+                k, l, q, room = par._counts
+                games.clear()
+                cert = sf.is_sparse(g, par)
+                game = PebbleGame._counted(g.n, k, l, q, room)
+                sparse = game.sweep(sparsity._sweep_order(g, l))
+                assert cert.sparse == sparse
+                if q * g.e > k * g.n - l + room:
+                    assert not sparse and games == [(g.n, k, l, q, room)]  # the reference game alone
+                    whole += 1
+                else:
+                    swept_refusals += not sparse
+                value, witness = sf.max_violation(g, par.a)
+                reference = sf.SparsityCertificate(sparse, witness, value - par.b, -value, par)
+                assert cert.to_json_dict() == reference.to_json_dict(), (n, g.edges, par)
+    assert whole >= 40 and swept_refusals >= 20
+
+
 def test_peel_order_is_smallest_last_and_a_permutation():
     # a triangle 0-1-2 with a tail 2-3-4 and an isolated vertex 5: peeled
     # 5, 4, 3, then 2 (its degree fell last among the three of degree 2),
